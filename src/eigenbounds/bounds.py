@@ -25,6 +25,7 @@ from .coefficients import (
     weight_kahler_radius,
     weight_riemannian,
     weight_riemannian_dirichlet,
+    weight_riemannian_dirichlet_radius,
     weight_riemannian_radius,
 )
 from .errors import (
@@ -77,8 +78,8 @@ class BoundResult:
             "theorem_tag": self.theorem_tag,
             "problem": {
                 "length": self.problem.length,
-                "bc": [self.problem.bc_left, self.problem.bc_right],
-                "target": self.problem.target,
+                "bc": ["dirichlet", "neumann"],
+                "target": "first",
                 "weight": self.problem.name,
             },
             "shooting_value": self.shooting_value,
@@ -115,14 +116,24 @@ def _check(name, actual, limit, ok):
     return {"name": name, "actual": actual, "limit": limit, "ok": bool(ok)}
 
 
-def _solve_pair(weight_fn, ell, tag, tol, n, sharp, order, name, validity, warnings, layer=None):
+def _diameter_cap(validity, name, D, cap, what):
+    """Refuse D beyond `cap`, record the check, and say whether D sits on it."""
+    if D > cap * (1.0 + SHARP_RTOL):
+        raise DiameterExceedsMaximal(f"D = {D} exceeds the {what} = {cap}")
+    validity.append(_check(name, D, cap, True))
+    return D >= cap * (1.0 - SHARP_RTOL)
+
+
+def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     """Run both solvers on the weight on [0, ell] and assemble a BoundResult.
 
-    For sharp = True the weight vanishes at ell: the shooting value comes
-    from the truncation-limit extrapolation of order `order`, finite
-    differences solve the endpoint directly.  `layer` grades the shooting
-    mesh when a regular problem ends close to the weight's vanishing point.
+    For order > 0 the weight vanishes at ell to that order (the sharp
+    case): the shooting value comes from the truncation-limit
+    extrapolation, finite differences solve the endpoint directly.
+    Otherwise, when ell ends within a tenth of itself of the weight's
+    validity radius `rad`, the gap grades the shooting mesh.
     """
+    sharp = order > 0
     limit_error = None
     if sharp:
         state = {"bracket": None, "prev": None}
@@ -141,8 +152,9 @@ def _solve_pair(weight_fn, ell, tag, tol, n, sharp, order, name, validity, warni
         shoot_resid = limit_error
         problem = SLProblem(length=ell, weight=weight_fn, name=name)
     else:
+        layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
         problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name)
-        shoot = solve_shooting(problem, tol=tol)
+        shoot = solve_shooting(problem, tol=tol, want_phi=False)
         shoot_val, shoot_resid = shoot.value, shoot.residual
     fd = solve_fd(problem, n=n)
     agreement = abs(shoot_val - fd.value) / max(abs(shoot_val), abs(fd.value))
@@ -160,7 +172,6 @@ def _solve_pair(weight_fn, ell, tag, tol, n, sharp, order, name, validity, warni
         validity=validity,
         is_limit=sharp,
         limit_error=limit_error,
-        warnings=warnings,
     )
 
 
@@ -178,42 +189,21 @@ def kahler_neumann_bound(
     if not (math.isfinite(D) and D > 0):
         raise DomainError(f"diameter must be positive and finite, got {D}")
     validity = []
-    sharp_order = 0
+    order = 0
     if params.kappa1 > 0:
         cap = math.pi / (2.0 * math.sqrt(params.kappa1))
-        if D > cap * (1.0 + SHARP_RTOL):
-            raise DiameterExceedsMaximal(
-                f"D = {D} exceeds the kappa1 diameter cap pi/(2 sqrt(kappa1)) = {cap}"
-            )
-        validity.append(_check("kappa1_diameter_cap", D, cap, True))
-        if D >= cap * (1.0 - SHARP_RTOL):
-            sharp_order += 1
+        what = "kappa1 diameter cap pi/(2 sqrt(kappa1))"
+        if _diameter_cap(validity, "kappa1_diameter_cap", D, cap, what):
+            order += 1
     if params.m > 1 and params.kappa2 > 0:
         cap = math.pi / math.sqrt(params.kappa2)
-        if D > cap * (1.0 + SHARP_RTOL):
-            raise DiameterExceedsMaximal(
-                f"D = {D} exceeds the kappa2 diameter cap pi/sqrt(kappa2) = {cap}"
-            )
-        validity.append(_check("kappa2_diameter_cap", D, cap, True))
-        if D >= cap * (1.0 - SHARP_RTOL):
-            sharp_order += 2 * params.m - 2
-    ell = 0.5 * D
-    sharp = sharp_order > 0
+        what = "kappa2 diameter cap pi/sqrt(kappa2)"
+        if _diameter_cap(validity, "kappa2_diameter_cap", D, cap, what):
+            order += 2 * params.m - 2
     name = f"c(k2)^(2m-2) c(4k1) interior weight, m={params.m}, k1={params.kappa1}, k2={params.kappa2}"
-    rad = weight_kahler_radius(params)
-    layer = rad - ell if (not sharp and math.isfinite(rad) and rad - ell < 0.1 * ell) else None
     return _solve_pair(
-        lambda t: weight_kahler(params, t),
-        ell,
-        "kahler_neumann",
-        tol,
-        n,
-        sharp,
-        sharp_order,
-        name,
-        validity,
-        [],
-        layer=layer,
+        lambda t: weight_kahler(params, t), 0.5 * D, weight_kahler_radius(params),
+        "kahler_neumann", name, validity, order, tol, n,
     )
 
 
@@ -236,24 +226,13 @@ def kahler_dirichlet_bound(
         raise InradiusExceedsValidity(
             f"R = {R} reaches the validity radius {rad} (first zero of the {binding} factor)"
         )
-    validity = [_check("inradius_validity_radius", R, rad, True)]
     name = (
         f"C(k2,L)^(2m-2) C(4k1,L) boundary weight, m={params.m}, "
         f"k1={params.kappa1}, k2={params.kappa2}, L={lam}"
     )
-    layer = rad - R if (math.isfinite(rad) and rad - R < 0.1 * R) else None
     return _solve_pair(
-        lambda t: weight_dirichlet(params, lam, t),
-        R,
-        "kahler_dirichlet",
-        tol,
-        n,
-        False,
-        0,
-        name,
-        validity,
-        [],
-        layer=layer,
+        lambda t: weight_dirichlet(params, lam, t), R, rad, "kahler_dirichlet", name,
+        [_check("inradius_validity_radius", R, rad, True)], 0, tol, n,
     )
 
 
@@ -266,35 +245,17 @@ def riemannian_neumann_bound(
     capped at pi/sqrt(kappa), and at the cap the bound is the sharp
     (limit) value n_dim * kappa.
     """
-    weight_riemannian_radius(n_dim, kappa)  # validates the dimension
+    rad = weight_riemannian_radius(n_dim, kappa)  # validates the dimension
     if not (math.isfinite(D) and D > 0):
         raise DomainError(f"diameter must be positive and finite, got {D}")
     validity = []
-    sharp = False
-    if kappa > 0:
-        cap = math.pi / math.sqrt(kappa)
-        if D > cap * (1.0 + SHARP_RTOL):
-            raise DiameterExceedsMaximal(
-                f"D = {D} exceeds the diameter cap pi/sqrt(kappa) = {cap}"
-            )
-        validity.append(_check("diameter_cap", D, cap, True))
-        sharp = D >= cap * (1.0 - SHARP_RTOL)
+    sharp = kappa > 0 and _diameter_cap(
+        validity, "diameter_cap", D, math.pi / math.sqrt(kappa), "diameter cap pi/sqrt(kappa)"
+    )
     name = f"c(kappa)^(n-1) weight, n={n_dim}, kappa={kappa}"
-    ell = 0.5 * D
-    rad = weight_riemannian_radius(n_dim, kappa)
-    layer = rad - ell if (not sharp and math.isfinite(rad) and rad - ell < 0.1 * ell) else None
     return _solve_pair(
-        lambda t: weight_riemannian(n_dim, kappa, t),
-        ell,
-        "riemannian_neumann",
-        tol,
-        n,
-        sharp,
-        n_dim - 1,
-        name,
-        validity,
-        [],
-        layer=layer,
+        lambda t: weight_riemannian(n_dim, kappa, t), 0.5 * D, rad, "riemannian_neumann",
+        name, validity, n_dim - 1 if sharp else 0, tol, n,
     )
 
 
@@ -308,26 +269,16 @@ def riemannian_dirichlet_bound(
     """
     if not (math.isfinite(R) and R > 0):
         raise DomainError(f"inradius must be positive and finite, got {R}")
-    rad = first_zero(kappa, lam)
+    rad = weight_riemannian_dirichlet_radius(n_dim, kappa, lam)  # validates the dimension
     if R >= rad * (1.0 - SHARP_RTOL):
         raise InradiusExceedsValidity(
             f"R = {R} reaches the first zero of the boundary profile at {rad}"
         )
-    validity = [_check("inradius_validity_radius", R, rad, True)]
     name = f"C(kappa,L)^(n-1) weight, n={n_dim}, kappa={kappa}, L={lam}"
-    layer = rad - R if (math.isfinite(rad) and rad - R < 0.1 * R) else None
     return _solve_pair(
-        lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t),
-        R,
-        "riemannian_dirichlet",
-        tol,
-        n,
-        False,
-        0,
-        name,
-        validity,
-        [],
-        layer=layer,
+        lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t), R, rad,
+        "riemannian_dirichlet", name, [_check("inradius_validity_radius", R, rad, True)],
+        0, tol, n,
     )
 
 

@@ -4,16 +4,14 @@ Two independent routes to the same eigenvalues:
 
   * solve_shooting: integrates the self-adjoint first-order system
     phi' = u/w, u' = -lam*w*phi from the left end and root-finds the
-    Neumann shooting function S(lam) = u(ell; lam).  Also accepts the
-    drift form phi'' - tau*phi' = -lam*phi when a problem provides the
-    drift instead of the weight.
+    Neumann shooting function S(lam) = u(ell; lam).
   * solve_fd: finite-difference discretization of (w phi')' = -lam*w*phi,
     reduced to a symmetric tridiagonal pencil and solved by LAPACK
     Sturm-sequence bisection, with Richardson extrapolation over n and 2n.
 
-The mixed problem phi(0)=0, phi'(ell)=0 on a half interval is the primary
-target; neumann_first_nonzero_direct solves the full-interval Neumann
-problem without using any symmetry, so the half-interval reduction can be
+Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval.
+neumann_first_nonzero_direct solves the full-interval Neumann problem
+without using any symmetry, so the half-interval reduction can be
 validated against it.  eigen_limit extrapolates eigenvalues of problems
 whose weight vanishes at the right endpoint (boundary-sharp cases) from a
 sequence of truncated regular problems.
@@ -50,38 +48,22 @@ SCAN_STEPS_PER_DECADE = 400
 
 @dataclass(frozen=True)
 class SLProblem:
-    """A weighted 1D eigenvalue problem on [0, length].
+    """The mixed problem (w phi')' = -lam*w*phi, phi(0) = 0, phi'(length) = 0.
 
-    Exactly one of `weight`, `drift` may be omitted.  `weight` is w(t) > 0
-    on [0, length]; `drift` is tau(t) = -w'(t)/w(t).  The supported
-    boundary pairs are dirichlet/neumann with target "first" (the half
-    interval problem) and neumann/neumann with target "first_nonzero".
-    `layer`, when set, is the distance scale on which the weight varies
-    near the right endpoint (used to grade integration meshes for
-    truncations of a weight that vanishes just beyond `length`).
+    `weight` is w(t) > 0 on [0, length].  `layer`, when set, is the
+    distance scale on which the weight varies near the right endpoint
+    (used to grade integration meshes for truncations of a weight that
+    vanishes just beyond `length`).
     """
 
     length: float
-    weight: Callable | None = None
-    drift: Callable | None = None
-    bc_left: str = "dirichlet"
-    bc_right: str = "neumann"
-    target: str = "first"
+    weight: Callable
     layer: float | None = None
     name: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0):
             raise DomainError(f"interval length must be positive and finite, got {self.length}")
-        if self.weight is None and self.drift is None:
-            raise DomainError("SLProblem needs a weight or a drift")
-        if self.bc_left not in ("dirichlet", "neumann") or self.bc_right not in (
-            "dirichlet",
-            "neumann",
-        ):
-            raise DomainError(f"unsupported boundary conditions {self.bc_left}/{self.bc_right}")
-        if self.target not in ("first", "first_nonzero"):
-            raise DomainError(f"unsupported target {self.target}")
 
 
 @dataclass
@@ -94,14 +76,6 @@ class EigenResult:
     grid_size: int
     ts: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-
-
-def _require_mixed(problem: SLProblem, op: str):
-    if problem.bc_left != "dirichlet" or problem.bc_right != "neumann" or problem.target != "first":
-        raise DomainError(
-            f"{op} handles the mixed dirichlet/neumann problem with target 'first'; "
-            f"got {problem.bc_left}/{problem.bc_right}, target {problem.target}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -130,27 +104,25 @@ def _build_mesh(ell: float, n_uniform: int, layer: float | None) -> np.ndarray:
 
 def _weight_tables(problem: SLProblem, ts: np.ndarray):
     mids = 0.5 * (ts[:-1] + ts[1:])
-    fn = problem.weight if problem.weight is not None else problem.drift
-    w_nodes = np.asarray(fn(ts), dtype=float)
-    w_mids = np.asarray(fn(mids), dtype=float)
-    if problem.weight is not None and (np.any(w_nodes <= 0) or np.any(w_mids <= 0)):
+    w_nodes = np.asarray(problem.weight(ts), dtype=float)
+    w_mids = np.asarray(problem.weight(mids), dtype=float)
+    if np.any(w_nodes <= 0) or np.any(w_mids <= 0):
         raise DomainError("weight not positive on [0, ell]")
     if not (np.all(np.isfinite(w_nodes)) and np.all(np.isfinite(w_mids))):
         raise DomainError("coefficient not finite on [0, ell]")
     return w_nodes, w_mids
 
 
-def _shoot_batch(ts, w_nodes, w_mids, lams, drift_form, want_path=False):
+def _shoot_batch(ts, w_nodes, w_mids, lams, want_path=False):
     """Classical RK4 sweep of the shooting system, vectorized over lams.
 
-    Weight form: y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).
-    Drift form:  y = (phi, psi), phi' = psi, psi' = tau*psi - lam*phi.
-    Returns the Neumann shooting values S(lam) (= u or psi at the right
-    end) and optionally the phi samples at the nodes.
+    y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  Returns the
+    Neumann shooting values S(lam) = u(ell) and optionally the phi samples
+    at the nodes.
     """
     lams = np.asarray(lams, dtype=float)
     phi = np.zeros_like(lams)
-    slope = np.full_like(lams, 1.0 if drift_form else w_nodes[0])
+    slope = np.full_like(lams, w_nodes[0])
     hs = np.diff(ts)
     path = [phi.copy()] if want_path else None
 
@@ -159,33 +131,20 @@ def _shoot_batch(ts, w_nodes, w_mids, lams, drift_form, want_path=False):
         w0 = w_nodes[j]
         wm = w_mids[j]
         w1 = w_nodes[j + 1]
-        if drift_form:
-            k1p = slope
-            k1s = w0 * slope - lams * phi
-            p2 = phi + 0.5 * h * k1p
-            k2p = slope + 0.5 * h * k1s
-            k2s = wm * k2p - lams * p2
-            p3 = phi + 0.5 * h * k2p
-            k3p = slope + 0.5 * h * k2s
-            k3s = wm * k3p - lams * p3
-            p4 = phi + h * k3p
-            k4p = slope + h * k3s
-            k4s = w1 * k4p - lams * p4
-        else:
-            k1p = slope / w0
-            k1s = -lams * (w0 * phi)
-            p2 = phi + 0.5 * h * k1p
-            s2 = slope + 0.5 * h * k1s
-            k2p = s2 / wm
-            k2s = -lams * (wm * p2)
-            p3 = phi + 0.5 * h * k2p
-            s3 = slope + 0.5 * h * k2s
-            k3p = s3 / wm
-            k3s = -lams * (wm * p3)
-            p4 = phi + h * k3p
-            s4 = slope + h * k3s
-            k4p = s4 / w1
-            k4s = -lams * (w1 * p4)
+        k1p = slope / w0
+        k1s = -lams * (w0 * phi)
+        p2 = phi + 0.5 * h * k1p
+        s2 = slope + 0.5 * h * k1s
+        k2p = s2 / wm
+        k2s = -lams * (wm * p2)
+        p3 = phi + 0.5 * h * k2p
+        s3 = slope + 0.5 * h * k2s
+        k3p = s3 / wm
+        k3s = -lams * (wm * p3)
+        p4 = phi + h * k3p
+        s4 = slope + h * k3s
+        k4p = s4 / w1
+        k4s = -lams * (w1 * p4)
         phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         slope = slope + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         if want_path:
@@ -197,54 +156,31 @@ def _shoot_batch(ts, w_nodes, w_mids, lams, drift_form, want_path=False):
     return slope
 
 
-def _shoot_scalar(ts_l, hs_l, w0_l, wm_l, w1_l, lam, w_start, drift_form):
+def _shoot_scalar(hs_l, w0_l, wm_l, w1_l, lam, w_start):
     """Scalar RK4 sweep in plain Python floats (fast path for refinement)."""
     phi = 0.0
-    slope = 1.0 if drift_form else w_start
-    if drift_form:
-        for j in range(len(hs_l)):
-            h = hs_l[j]
-            w0 = w0_l[j]
-            wm = wm_l[j]
-            w1 = w1_l[j]
-            k1p = slope
-            k1s = w0 * slope - lam * phi
-            p2 = phi + 0.5 * h * k1p
-            s2 = slope + 0.5 * h * k1s
-            k2p = s2
-            k2s = wm * s2 - lam * p2
-            p3 = phi + 0.5 * h * k2p
-            s3 = slope + 0.5 * h * k2s
-            k3p = s3
-            k3s = wm * s3 - lam * p3
-            p4 = phi + h * k3p
-            s4 = slope + h * k3s
-            k4p = s4
-            k4s = w1 * s4 - lam * p4
-            phi += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            slope += (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    else:
-        for j in range(len(hs_l)):
-            h = hs_l[j]
-            w0 = w0_l[j]
-            wm = wm_l[j]
-            w1 = w1_l[j]
-            k1p = slope / w0
-            k1s = -lam * w0 * phi
-            p2 = phi + 0.5 * h * k1p
-            s2 = slope + 0.5 * h * k1s
-            k2p = s2 / wm
-            k2s = -lam * wm * p2
-            p3 = phi + 0.5 * h * k2p
-            s3 = slope + 0.5 * h * k2s
-            k3p = s3 / wm
-            k3s = -lam * wm * p3
-            p4 = phi + h * k3p
-            s4 = slope + h * k3s
-            k4p = s4 / w1
-            k4s = -lam * w1 * p4
-            phi += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            slope += (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    slope = w_start
+    for j in range(len(hs_l)):
+        h = hs_l[j]
+        w0 = w0_l[j]
+        wm = wm_l[j]
+        w1 = w1_l[j]
+        k1p = slope / w0
+        k1s = -lam * w0 * phi
+        p2 = phi + 0.5 * h * k1p
+        s2 = slope + 0.5 * h * k1s
+        k2p = s2 / wm
+        k2s = -lam * wm * p2
+        p3 = phi + 0.5 * h * k2p
+        s3 = slope + 0.5 * h * k2s
+        k3p = s3 / wm
+        k3s = -lam * wm * p3
+        p4 = phi + h * k3p
+        s4 = slope + h * k3s
+        k4p = s4 / w1
+        k4s = -lam * w1 * p4
+        phi += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        slope += (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
     if not (math.isfinite(phi) and math.isfinite(slope)):
         raise StabilityFailure("shooting integration overflowed")
     return slope
@@ -255,7 +191,6 @@ class _Shooter:
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
-        self.drift_form = problem.weight is None
         self._cache = {}
 
     def _tables(self, n_uniform: int):
@@ -279,14 +214,14 @@ class _Shooter:
 
     def batch(self, lams, per_rad=25.0, floor=600, want_path=False):
         ts, w_nodes, w_mids, _ = self._tables(self._n_for(np.max(lams), per_rad, floor))
-        out = _shoot_batch(ts, w_nodes, w_mids, lams, self.drift_form, want_path)
+        out = _shoot_batch(ts, w_nodes, w_mids, lams, want_path)
         return (out, ts) if want_path else out
 
     def scalar(self, lam, per_rad=60.0, floor=4000) -> float:
         _, _, _, (hs_l, w0_l, wm_l, w1_l, w_start) = self._tables(
             self._n_for(lam, per_rad, floor)
         )
-        return _shoot_scalar(None, hs_l, w0_l, wm_l, w1_l, lam, w_start, self.drift_form)
+        return _shoot_scalar(hs_l, w0_l, wm_l, w1_l, lam, w_start)
 
 
 def _scan_bracket(shooter: _Shooter, ell: float):
@@ -375,7 +310,6 @@ def solve_shooting(
     the root.  Eigenfunction is reported with phi'(0) = 1; callers that
     only need the eigenvalue pass want_phi=False to skip that pass.
     """
-    _require_mixed(problem, "solve_shooting")
     if not tol > 0:
         raise DomainError("tol must be positive")
     shooter = _Shooter(problem)
@@ -438,8 +372,13 @@ def _fd_mixed_pencil(weight, ell, n):
 
 
 def _fd_eigh(diag, off, mass, indices):
-    d = diag / mass
-    e = off / np.sqrt(mass[:-1] * mass[1:])
+    # masses of a weight that underflows near a vanishing endpoint make
+    # d or e infinite; that is a solver failure, not a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = diag / mass
+        e = off / np.sqrt(mass[:-1] * mass[1:])
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise SolverError("finite-difference pencil not finite: the weight underflows on the grid")
     vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=indices)
     return vals, vecs / np.sqrt(mass)[:, None]
 
@@ -452,9 +391,6 @@ def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
     eigenvalue (4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3.
     Eigenfunction (from the 2n grid) is max-norm normalized.
     """
-    _require_mixed(problem, "solve_fd")
-    if problem.weight is None:
-        raise DomainError("solve_fd requires the weight form")
     if n < 16:
         raise DomainError("n must be at least 16")
     lam_n, _ = _fd_eigh(*_fd_mixed_pencil(problem.weight, problem.length, n)[:3], (0, 0))
@@ -561,8 +497,6 @@ def rayleigh_quotient(problem: SLProblem, ts, phi) -> float:
     first eigenvalue of the matching problem, up to quadrature error, for
     any trial satisfying the essential condition phi(0) = 0.
     """
-    if problem.weight is None:
-        raise DomainError("rayleigh_quotient requires the weight form")
     ts = np.asarray(ts, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if ts.ndim != 1 or ts.shape != phi.shape or ts.size < 5:

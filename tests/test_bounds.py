@@ -209,6 +209,8 @@ class TestValidityAndErrors:
         with pytest.raises(InvalidDimension):
             riemannian_neumann_bound(1, 0.0, 1.0)
         with pytest.raises(InvalidDimension):
+            riemannian_dirichlet_bound(1, 0.0, 0.0, 0.5)
+        with pytest.raises(InvalidDimension):
             CurvatureParams(m=0, kappa1=0.0, kappa2=0.0)
 
     def test_validity_checks_recorded(self):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -27,6 +28,35 @@ def parse_json(stdout):
 
 def parse_csv(stdout):
     return list(csv.DictReader(io.StringIO(stdout)))
+
+
+# pinned `results` of bound commands (the CSV case keeps its row): a
+# float that moves beyond 1e-12 relative is a change of behaviour
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_bounds.json").read_text())
+
+
+def assert_same_record(actual, expected, where="results"):
+    """Floats agree to 1e-12 relative; every other field is equal."""
+    if isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert actual == pytest.approx(expected, rel=1e-12), where
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key in expected:
+            assert_same_record(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_same_record(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+def _csv_field(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 class TestBound:
@@ -76,6 +106,27 @@ class TestBound:
         with pytest.raises(SystemExit) as ei:
             main(["bound", "kahler-neumann"])
         assert ei.value.code == 64
+
+    def test_fd_pencil_underflow_exits_1(self, capsys):
+        # the m = 40 weight c^78 underflows near the sharp endpoint, so the
+        # FD mass products vanish; this must be a one-line solver failure
+        code, out, err = run_cli(
+            capsys, "bound", "kahler-neumann", "--m", "40", "--k2", "1",
+            "--D", "3.141592653589793",
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_golden_results(self, capsys, case):
+        code, out, err = run_cli(capsys, *case["argv"])
+        assert code == 0 and err == ""
+        if "--format" in case["argv"]:
+            (row,) = parse_csv(out)
+            expected = {k: _csv_field(v) for k, v in case["results"].items()}
+            assert_same_record({k: _csv_field(v) for k, v in row.items()}, expected)
+        else:
+            assert_same_record(parse_json(out)["results"], case["results"])
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "bound", "kahler-neumann", "--D", "1.3")
