@@ -245,7 +245,7 @@ def riemannian_neumann_bound(
     capped at pi/sqrt(kappa), and at the cap the bound is the sharp
     (limit) value n_dim * kappa.
     """
-    rad = weight_riemannian_radius(n_dim, kappa)  # validates the dimension
+    rad = weight_riemannian_radius(n_dim, kappa)  # validates n and the curvature
     if not (math.isfinite(D) and D > 0):
         raise DomainError(f"diameter must be positive and finite, got {D}")
     validity = []
@@ -269,7 +269,7 @@ def riemannian_dirichlet_bound(
     """
     if not (math.isfinite(R) and R > 0):
         raise DomainError(f"inradius must be positive and finite, got {R}")
-    rad = weight_riemannian_dirichlet_radius(n_dim, kappa, lam)  # validates the dimension
+    rad = weight_riemannian_dirichlet_radius(n_dim, kappa, lam)  # validates n and the curvature
     if R >= rad * (1.0 - SHARP_RTOL):
         raise InradiusExceedsValidity(
             f"R = {R} reaches the first zero of the boundary profile at {rad}"

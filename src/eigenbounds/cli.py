@@ -10,6 +10,7 @@ record or one CSV document; diagnostics go to stderr.  Exit codes:
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -62,6 +63,8 @@ def _parse_range(text: str):
     if len(parts) != 3:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range must be finite, got {text!r}")
     if not step > 0:
         raise ValueError(f"range step must be positive, got {step}")
     if hi < lo:

@@ -299,14 +299,17 @@ def weight_dirichlet(params: CurvatureParams, lam: float, t):
     return _eval(t, f)
 
 
-def _check_real_dim(n: int):
+def _check_real_data(n: int, curvatures: dict):
     if n < 2 or int(n) != n:
         raise InvalidDimension(f"real dimension n must be an integer >= 2, got {n}")
+    for name, value in curvatures.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
 
 
 def weight_riemannian_radius(n: int, kappa: float) -> float:
     """Positivity radius of c_kappa^{n-1}."""
-    _check_real_dim(n)
+    _check_real_data(n, {"kappa": kappa})
     if kappa > 0:
         return 0.5 * math.pi / math.sqrt(kappa)
     return math.inf
@@ -326,7 +329,7 @@ def weight_riemannian(n: int, kappa: float, t):
 
 def weight_riemannian_dirichlet_radius(n: int, kappa: float, lam: float) -> float:
     """Validity radius of big_c^{n-1}: the first zero of the profile."""
-    _check_real_dim(n)
+    _check_real_data(n, {"kappa": kappa, "lambda": lam})
     return first_zero(kappa, lam)
 
 

@@ -113,42 +113,39 @@ def _weight_tables(problem: SLProblem, ts: np.ndarray):
     return w_nodes, w_mids
 
 
-def _shoot_batch(ts, w_nodes, w_mids, lams, want_path=False):
-    """Classical RK4 sweep of the shooting system, vectorized over lams.
+def _shoot(steps, lam, want_path=False):
+    """Classical RK4 sweep of the shooting system.
 
-    y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  Returns the
-    Neumann shooting values S(lam) = u(ell) and optionally the phi samples
-    at the nodes.
+    y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `steps` holds
+    (h, w(t), w(t + h/2), w(t + h)) for each cell as plain Python floats.
+    `lam` is a float or an ndarray; with an ndarray every operation
+    broadcasts, so entry i equals the float sweep at lam[i] bit for bit.
+    Returns the Neumann shooting value S(lam) = u(ell) and, with
+    want_path (float lam only), also the phi samples at the nodes.
     """
-    lams = np.asarray(lams, dtype=float)
-    phi = np.zeros_like(lams)
-    slope = np.full_like(lams, w_nodes[0])
-    hs = np.diff(ts)
-    path = [phi.copy()] if want_path else None
-
-    for j in range(len(hs)):
-        h = hs[j]
-        w0 = w_nodes[j]
-        wm = w_mids[j]
-        w1 = w_nodes[j + 1]
+    neg = -lam  # exact; -lam * w * phi already parses as (-lam) * w * phi
+    phi = 0.0
+    slope = steps[0][1]
+    path = [phi] if want_path else None
+    for h, w0, wm, w1 in steps:
         k1p = slope / w0
-        k1s = -lams * (w0 * phi)
+        k1s = neg * w0 * phi
         p2 = phi + 0.5 * h * k1p
         s2 = slope + 0.5 * h * k1s
         k2p = s2 / wm
-        k2s = -lams * (wm * p2)
+        k2s = neg * wm * p2
         p3 = phi + 0.5 * h * k2p
         s3 = slope + 0.5 * h * k2s
         k3p = s3 / wm
-        k3s = -lams * (wm * p3)
+        k3s = neg * wm * p3
         p4 = phi + h * k3p
         s4 = slope + h * k3s
         k4p = s4 / w1
-        k4s = -lams * (w1 * p4)
+        k4s = neg * w1 * p4
         phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         slope = slope + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         if want_path:
-            path.append(phi.copy())
+            path.append(phi)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
         raise StabilityFailure("shooting integration overflowed")
     if want_path:
@@ -156,72 +153,27 @@ def _shoot_batch(ts, w_nodes, w_mids, lams, want_path=False):
     return slope
 
 
-def _shoot_scalar(hs_l, w0_l, wm_l, w1_l, lam, w_start):
-    """Scalar RK4 sweep in plain Python floats (fast path for refinement)."""
-    phi = 0.0
-    slope = w_start
-    for j in range(len(hs_l)):
-        h = hs_l[j]
-        w0 = w0_l[j]
-        wm = wm_l[j]
-        w1 = w1_l[j]
-        k1p = slope / w0
-        k1s = -lam * w0 * phi
-        p2 = phi + 0.5 * h * k1p
-        s2 = slope + 0.5 * h * k1s
-        k2p = s2 / wm
-        k2s = -lam * wm * p2
-        p3 = phi + 0.5 * h * k2p
-        s3 = slope + 0.5 * h * k2s
-        k3p = s3 / wm
-        k3s = -lam * wm * p3
-        p4 = phi + h * k3p
-        s4 = slope + h * k3s
-        k4p = s4 / w1
-        k4s = -lam * w1 * p4
-        phi += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        slope += (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-    if not (math.isfinite(phi) and math.isfinite(slope)):
-        raise StabilityFailure("shooting integration overflowed")
-    return slope
-
-
 class _Shooter:
-    """Caches meshes and coefficient tables for repeated S(lam) sweeps."""
+    """Caches one mesh and step table per resolution for repeated S(lam) sweeps."""
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
         self._cache = {}
 
-    def _tables(self, n_uniform: int):
-        key = n_uniform
-        if key not in self._cache:
+    def mesh(self, lam, per_rad=60.0, floor=4000):
+        """Nodes and step table resolving the phase of max(lam)."""
+        phase = math.sqrt(max(np.max(lam), 0.0)) * self.problem.length
+        n_uniform = max(floor, int(per_rad * phase))
+        if n_uniform not in self._cache:
             ts = _build_mesh(self.problem.length, n_uniform, self.problem.layer)
             w_nodes, w_mids = _weight_tables(self.problem, ts)
-            scalar = (
-                list(np.diff(ts)),
-                list(w_nodes[:-1]),
-                list(w_mids),
-                list(w_nodes[1:]),
-                float(w_nodes[0]),
-            )
-            self._cache[key] = (ts, w_nodes, w_mids, scalar)
-        return self._cache[key]
+            columns = (np.diff(ts), w_nodes[:-1], w_mids, w_nodes[1:])
+            steps = list(zip(*(c.tolist() for c in columns)))
+            self._cache[n_uniform] = (ts, steps)
+        return self._cache[n_uniform]
 
-    def _n_for(self, lam_max: float, per_rad: float, floor: int) -> int:
-        phase = math.sqrt(max(lam_max, 0.0)) * self.problem.length
-        return max(floor, int(per_rad * phase))
-
-    def batch(self, lams, per_rad=25.0, floor=600, want_path=False):
-        ts, w_nodes, w_mids, _ = self._tables(self._n_for(np.max(lams), per_rad, floor))
-        out = _shoot_batch(ts, w_nodes, w_mids, lams, want_path)
-        return (out, ts) if want_path else out
-
-    def scalar(self, lam, per_rad=60.0, floor=4000) -> float:
-        _, _, _, (hs_l, w0_l, wm_l, w1_l, w_start) = self._tables(
-            self._n_for(lam, per_rad, floor)
-        )
-        return _shoot_scalar(hs_l, w0_l, wm_l, w1_l, lam, w_start)
+    def __call__(self, lam, per_rad=60.0, floor=4000):
+        return _shoot(self.mesh(lam, per_rad, floor)[1], lam)
 
 
 def _scan_bracket(shooter: _Shooter, ell: float):
@@ -236,7 +188,7 @@ def _scan_bracket(shooter: _Shooter, ell: float):
         lo = lam_lo * 10.0**c
         hi = min(lam_lo * 10.0 ** (c + 1), lam_hi)
         lams = np.geomspace(lo, hi, SCAN_STEPS_PER_DECADE + 1)
-        svals = shooter.batch(lams)
+        svals = shooter(lams, per_rad=25.0, floor=600)
         if c == 0 and svals[0] <= 0.0:
             raise NoBracketFound(
                 "shooting function not positive at the scan floor; "
@@ -260,14 +212,14 @@ def _refine(shooter: _Shooter, lo: float, hi: float, tol: float):
     S is normalized by its value at lambda -> 0 (the left-end flux) so the
     tolerance is scale free.  Returns (lam, |S_norm|).
     """
-    s_scale = abs(shooter.scalar(0.0)) or 1.0
+    s_scale = abs(shooter(0.0)) or 1.0
     # batched bisection: two rounds with 32 interior points shrink the
     # bracket by ~1000x
     for _ in range(2):
         if hi - lo <= 1e-13 * hi:
             break
         grid = np.linspace(lo, hi, 34)
-        svals = shooter.batch(grid[1:-1], per_rad=40.0, floor=1500)
+        svals = shooter(grid[1:-1], per_rad=40.0, floor=1500)
         below = np.nonzero(svals <= 0.0)[0]
         if below.size == 0:
             lo = float(grid[-2])
@@ -276,8 +228,8 @@ def _refine(shooter: _Shooter, lo: float, hi: float, tol: float):
         hi = float(grid[1 + j])
         if j > 0:
             lo = float(grid[j])
-    s_lo = shooter.scalar(lo) / s_scale
-    s_hi = shooter.scalar(hi) / s_scale
+    s_lo = shooter(lo) / s_scale
+    s_hi = shooter(hi) / s_scale
     if s_lo == 0.0:
         return lo, 0.0
     lam, s_lam = hi, s_hi
@@ -291,7 +243,7 @@ def _refine(shooter: _Shooter, lo: float, hi: float, tol: float):
             lam = hi - s_hi * (hi - lo) / denom
             if not (lo < lam < hi):
                 lam = 0.5 * (lo + hi)
-        s_lam = shooter.scalar(lam) / s_scale
+        s_lam = shooter(lam) / s_scale
         if s_lam > 0.0:
             lo, s_lo = lam, s_lam
         else:
@@ -316,20 +268,17 @@ def solve_shooting(
     lo = hi = None
     if bracket is not None:
         b_lo, b_hi = bracket
-        if 0 < b_lo < b_hi and shooter.scalar(b_lo) > 0.0 >= shooter.scalar(b_hi):
+        if 0 < b_lo < b_hi and shooter(b_lo) > 0.0 >= shooter(b_hi):
             lo, hi = b_lo, b_hi
     if lo is None:
         lo, hi = _scan_bracket(shooter, problem.length)
     lam, resid = _refine(shooter, lo, hi, tol)
+    ts, steps = shooter.mesh(lam)
+    grid = len(ts) - 1
     if want_phi:
-        (_, path), ts = shooter.batch(
-            np.array([lam]), per_rad=60.0, floor=4000, want_path=True
-        )
-        phi = path[:, 0]
-        grid = len(ts) - 1
+        _, phi = _shoot(steps, lam, want_path=True)
     else:
         ts = phi = None
-        grid = shooter._n_for(lam, 60.0, 4000)
     return EigenResult(
         value=float(lam),
         method="shooting",

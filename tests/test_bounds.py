@@ -210,6 +210,13 @@ class TestValidityAndErrors:
             riemannian_neumann_bound(1, 0.0, 1.0)
         with pytest.raises(InvalidDimension):
             riemannian_dirichlet_bound(1, 0.0, 0.0, 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="kappa must be finite"):
+                riemannian_neumann_bound(3, bad, 1.0)
+            with pytest.raises(DomainError, match="kappa must be finite"):
+                riemannian_dirichlet_bound(3, bad, 0.0, 0.5)
+            with pytest.raises(DomainError, match="lambda must be finite"):
+                riemannian_dirichlet_bound(3, 0.0, bad, 0.5)
         with pytest.raises(InvalidDimension):
             CurvatureParams(m=0, kappa1=0.0, kappa2=0.0)
 

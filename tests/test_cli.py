@@ -30,8 +30,9 @@ def parse_csv(stdout):
     return list(csv.DictReader(io.StringIO(stdout)))
 
 
-# pinned `results` of bound commands (the CSV case keeps its row): a
-# float that moves beyond 1e-12 relative is a change of behaviour
+# pinned `results` of bound commands (the CSV case keeps its row), one
+# scan and one table: a float that moves beyond 1e-12 relative is a
+# change of behaviour
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden_bounds.json").read_text())
 
 
@@ -107,6 +108,13 @@ class TestBound:
             main(["bound", "kahler-neumann"])
         assert ei.value.code == 64
 
+    def test_nonfinite_curvature_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "riemannian-neumann", "--n", "3", "--k", "nan", "--D", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "eigenbounds: validity: kappa must be finite\n"
+
     def test_fd_pencil_underflow_exits_1(self, capsys):
         # the m = 40 weight c^78 underflows near the sharp endpoint, so the
         # FD mass products vanish; this must be a one-line solver failure
@@ -117,11 +125,14 @@ class TestBound:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
 
-    @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][1:]))
+    @pytest.mark.parametrize(
+        "case", GOLDEN,
+        ids=lambda c: " ".join(c["argv"][1:] if c["argv"][0] == "bound" else c["argv"]),
+    )
     def test_golden_results(self, capsys, case):
         code, out, err = run_cli(capsys, *case["argv"])
         assert code == 0 and err == ""
-        if "--format" in case["argv"]:
+        if "csv" in case["argv"]:
             (row,) = parse_csv(out)
             expected = {k: _csv_field(v) for k, v in case["results"].items()}
             assert_same_record({k: _csv_field(v) for k, v in row.items()}, expected)
@@ -243,7 +254,7 @@ class TestScan:
         assert ei.value.code == 64
 
     def test_bad_range_is_usage(self, capsys):
-        for bad in ("bad", "1:2", "1:2:-0.5", "2:1:0.5"):
+        for bad in ("bad", "1:2", "1:2:-0.5", "2:1:0.5", "nan:1:0.5", "1:inf:0.5", "1:2:inf"):
             with pytest.raises(SystemExit) as ei:
                 main(["scan", "--param", "D", "--range", bad])
             assert ei.value.code == 64

@@ -8,6 +8,8 @@ from eigenbounds.errors import DomainError, NoBracketFound, ZeroDenominator
 from eigenbounds.sturm_liouville import (
     EigenResult,
     SLProblem,
+    _shoot,
+    _Shooter,
     eigen_limit,
     neumann_first_nonzero_direct,
     rayleigh_quotient,
@@ -25,6 +27,9 @@ def cos_pow(p):
 
 
 FLAT = SLProblem(length=1.0, weight=flat)
+KAHLER_K1 = CurvatureParams(m=2, kappa1=1.0)
+# graded mesh: the interval ends just short of the weight's zero at pi/4
+NEAR_CAP = SLProblem(0.75, lambda t: weight_kahler(KAHLER_K1, t), layer=math.pi / 4 - 0.75)
 
 
 # --- shooting ---------------------------------------------------------------
@@ -62,6 +67,27 @@ def test_shooting_monotone_eigenfunction():
     r = solve_shooting(p)
     assert r.phi[0] == 0.0
     assert np.all(np.diff(r.phi) > -1e-9 * np.abs(r.phi).max())
+
+
+@pytest.mark.parametrize("layer", [None, NEAR_CAP.layer], ids=["uniform", "graded"])
+def test_array_sweep_equals_float_sweeps(layer):
+    # the array sweep broadcasts the float sweep's arithmetic, so each of
+    # its entries is that float sweep bit for bit
+    shooter = _Shooter(SLProblem(NEAR_CAP.length, NEAR_CAP.weight, layer=layer))
+    lams = np.geomspace(0.5, 200.0, 50)
+    _, steps = shooter.mesh(lams, per_rad=25.0, floor=600)
+    svals = _shoot(steps, lams)
+    assert np.any(svals > 0.0) and np.any(svals <= 0.0)
+    for i, lam in enumerate(lams):
+        assert svals[i] == _shoot(steps, float(lam))
+
+
+def test_shooting_grid_size_ignores_want_phi():
+    # the refinement's graded mesh has fewer steps than its uniform count
+    with_phi = solve_shooting(NEAR_CAP)
+    without = solve_shooting(NEAR_CAP, want_phi=False)
+    assert with_phi.grid_size == without.grid_size == len(with_phi.ts) - 1
+    assert without.value == with_phi.value
 
 
 def test_shooting_rejects_bad_input():
