@@ -41,12 +41,39 @@ EXIT_SOLVER = 1
 EXIT_VALIDITY = 2
 EXIT_USAGE = 64
 
-BOUND_FAMILIES = (
-    "kahler-neumann",
-    "kahler-dirichlet",
-    "riemannian-neumann",
-    "riemannian-dirichlet",
-)
+MAX_RANGE_POINTS = 10_000
+
+
+def _params(a):
+    return CurvatureParams(m=a.m, kappa1=a.k1, kappa2=a.k2)
+
+
+# family -> (flags echoed in "inputs", solve).  The last flag is the one the
+# family requires.  Each solve names its bound function at call time, so a
+# caller that swaps the module attribute (a tracer) sees every call.
+FAMILIES = {
+    "kahler-neumann": (
+        ("m", "k1", "k2", "D"),
+        lambda a: kahler_neumann_bound(_params(a), a.D, tol=a.tol, n=a.grid),
+    ),
+    "kahler-dirichlet": (
+        ("m", "k1", "k2", "lambda", "R"),
+        lambda a: kahler_dirichlet_bound(_params(a), a.lam, a.R, tol=a.tol, n=a.grid),
+    ),
+    "riemannian-neumann": (
+        ("n", "k", "D"),
+        lambda a: riemannian_neumann_bound(a.n, a.k, a.D, tol=a.tol, n=a.grid),
+    ),
+    "riemannian-dirichlet": (
+        ("n", "k", "lambda", "R"),
+        lambda a: riemannian_dirichlet_bound(a.n, a.k, a.lam, a.R, tol=a.tol, n=a.grid),
+    ),
+}
+
+
+def _attr(flag):
+    """The argparse attribute of a flag: `--lambda` is stored as `lam`."""
+    return "lam" if flag == "lambda" else flag
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +96,9 @@ def _parse_range(text: str):
         raise ValueError(f"range step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"range is empty: lo={lo} exceeds hi={hi}")
+    # the points lo + k*step grow with k, so point MAX_RANGE_POINTS decides
+    if lo + MAX_RANGE_POINTS * step <= hi + 1e-9 * step:
+        raise ValueError(f"range holds more than {MAX_RANGE_POINTS} points, got {text!r}")
     values = []
     k = 0
     while True:
@@ -90,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     pb = sub.add_parser("bound", help="compute one eigenvalue lower bound")
-    pb.add_argument("family", choices=BOUND_FAMILIES)
+    pb.add_argument("family", choices=tuple(FAMILIES))
     pb.add_argument("--m", type=int, default=1, help="complex dimension")
     pb.add_argument("--k1", type=float, default=0.0, help="holomorphic sectional lower bound")
     pb.add_argument("--k2", type=float, default=0.0, help="orthogonal bisectional lower bound")
@@ -132,16 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record(command, inputs, results, warnings):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": list(warnings),
-    }
-
-
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -150,55 +170,40 @@ def _jsonable(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit_json(record):
+def _emit(args, command, inputs, results, warnings, header, rows):
+    """Write one JSON record, or the warnings to stderr and then one CSV."""
+    if args.format == "csv":
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "warnings": list(warnings),
+    }
     json.dump(record, sys.stdout, indent=2, default=_jsonable)
     sys.stdout.write("\n")
 
 
-def _emit_csv(header, rows):
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-
-
-def _require(parser, args, names):
-    for name in names:
-        if getattr(args, "lam" if name == "lambda" else name) is None:
-            parser.error(f"bound {args.family} requires --{name}")
-
-
 def cmd_bound(parser, args) -> int:
     fam = args.family
-    if fam == "kahler-neumann":
-        _require(parser, args, ("D",))
-        params = CurvatureParams(m=args.m, kappa1=args.k1, kappa2=args.k2)
-        inputs = {"m": args.m, "k1": args.k1, "k2": args.k2, "D": args.D}
-        res = kahler_neumann_bound(params, args.D, tol=args.tol, n=args.grid)
-    elif fam == "kahler-dirichlet":
-        _require(parser, args, ("R",))
-        params = CurvatureParams(m=args.m, kappa1=args.k1, kappa2=args.k2)
-        inputs = {"m": args.m, "k1": args.k1, "k2": args.k2, "lambda": args.lam, "R": args.R}
-        res = kahler_dirichlet_bound(params, args.lam, args.R, tol=args.tol, n=args.grid)
-    elif fam == "riemannian-neumann":
-        _require(parser, args, ("D",))
-        inputs = {"n": args.n, "k": args.k, "D": args.D}
-        res = riemannian_neumann_bound(args.n, args.k, args.D, tol=args.tol, n=args.grid)
-    else:
-        _require(parser, args, ("R",))
-        inputs = {"n": args.n, "k": args.k, "lambda": args.lam, "R": args.R}
-        res = riemannian_dirichlet_bound(
-            args.n, args.k, args.lam, args.R, tol=args.tol, n=args.grid
-        )
-    inputs.update({"tol": args.tol, "grid": args.grid})
-    if args.format == "csv":
-        _emit_csv(
-            ["family", "value", "shooting_value", "fd_value", "fd_error", "method_agreement",
-             "is_limit", "limit_error"],
-            [[fam, res.value, res.shooting_value, res.fd_value, res.fd_error,
-              res.method_agreement, int(res.is_limit), res.limit_error]],
-        )
-    else:
-        _emit_json(_record(f"bound {fam}", inputs, res.to_dict(), res.warnings))
+    flags, solve = FAMILIES[fam]
+    if getattr(args, _attr(flags[-1])) is None:
+        parser.error(f"bound {fam} requires --{flags[-1]}")
+    res = solve(args)
+    inputs = {f: getattr(args, _attr(f)) for f in (*flags, "tol", "grid")}
+    _emit(
+        args, f"bound {fam}", inputs, res.to_dict(), res.warnings,
+        ["family", "value", "shooting_value", "fd_value", "fd_error", "method_agreement",
+         "is_limit", "limit_error"],
+        [[fam, res.value, res.shooting_value, res.fd_value, res.fd_error,
+          res.method_agreement, int(res.is_limit), res.limit_error]],
+    )
     return EXIT_OK
 
 
@@ -219,7 +224,7 @@ def cmd_table(parser, args) -> int:
             grid = _parse_range(args.D_grid)
         except ValueError as exc:
             parser.error(str(exc))
-        params = CurvatureParams(m=args.m, kappa1=args.k1, kappa2=args.k2)
+        params = _params(args)
         rows = []
         warnings = []
         worst = None
@@ -247,38 +252,29 @@ def cmd_table(parser, args) -> int:
         header = ["D", "bound", "reference", "reference_name", "margin"]
         csv_rows = [[r[h] for h in header] for r in rows]
         code = EXIT_OK if worst >= 0 else EXIT_SOLVER
-    if args.format == "csv":
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        _emit_csv(header, csv_rows)
-    else:
-        _emit_json(_record(f"table {args.name}", inputs, results, warnings))
+    _emit(args, f"table {args.name}", inputs, results, warnings, header, csv_rows)
     return code
 
 
 def cmd_verify(parser, args) -> int:
     result = run_suite(args.suite, seed=args.seed, tol=args.tol, grid=args.grid)
     inputs = {"suite": args.suite, "seed": args.seed, "tol": args.tol, "grid": args.grid}
-    if args.format == "csv":
-        if result.series:
-            rows = [
-                [name, t, o]
-                for name, (ts, osc) in result.series.items()
-                for t, o in zip(ts, osc)
-            ]
-            _emit_csv(["flow", "t", "oscillation"], rows)
-        else:
-            _emit_csv(
-                ["check", "ok", "tol"],
-                [[c["name"], int(c["ok"]), c["tol"]] for c in result.checks],
-            )
-        if not result.ok:
-            print(
-                f"verify {args.suite}: {result.failed} of {len(result.checks)} checks failed",
-                file=sys.stderr,
-            )
+    if result.series:
+        header = ["flow", "t", "oscillation"]
+        rows = [
+            [name, t, o]
+            for name, (ts, osc) in result.series.items()
+            for t, o in zip(ts, osc)
+        ]
     else:
-        _emit_json(_record(f"verify {args.suite}", inputs, result.to_dict(), []))
+        header = ["check", "ok", "tol"]
+        rows = [[c["name"], int(c["ok"]), c["tol"]] for c in result.checks]
+    _emit(args, f"verify {args.suite}", inputs, result.to_dict(), [], header, rows)
+    if args.format == "csv" and not result.ok:
+        print(
+            f"verify {args.suite}: {result.failed} of {len(result.checks)} checks failed",
+            file=sys.stderr,
+        )
     return EXIT_OK if result.ok else EXIT_SOLVER
 
 
@@ -292,31 +288,13 @@ def cmd_scan(parser, args) -> int:
         parser.error(f"scan --param {name} requires a fixed --D")
     if name == "lambda" and args.R is None:
         parser.error("scan --param lambda requires a fixed --R")
-
-    def solve(v):
-        m, k1, k2 = args.m, args.k1, args.k2
-        if name == "D":
-            return kahler_neumann_bound(
-                CurvatureParams(m=m, kappa1=k1, kappa2=k2), v, tol=args.tol, n=args.grid
-            )
-        if name == "k1":
-            return kahler_neumann_bound(
-                CurvatureParams(m=m, kappa1=v, kappa2=k2), args.D, tol=args.tol, n=args.grid
-            )
-        if name == "k2":
-            return kahler_neumann_bound(
-                CurvatureParams(m=m, kappa1=k1, kappa2=v), args.D, tol=args.tol, n=args.grid
-            )
-        params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
-        if name == "lambda":
-            return kahler_dirichlet_bound(params, v, args.R, tol=args.tol, n=args.grid)
-        return kahler_dirichlet_bound(params, args.lam, v, tol=args.tol, n=args.grid)
-
+    # a scan is the `bound` request of its family with one flag varied
+    _, solve = FAMILIES["kahler-neumann" if name in ("D", "k1", "k2") else "kahler-dirichlet"]
     rows = []
     warnings = []
     for v in values:
         try:
-            res = solve(v)
+            res = solve(argparse.Namespace(**{**vars(args), _attr(name): v}))
         except (DiameterExceedsMaximal, InradiusExceedsValidity) as exc:
             warnings.append(f"scan truncated at {name}={v:.6g}: {exc}")
             break
@@ -329,15 +307,10 @@ def cmd_scan(parser, args) -> int:
         "param": name, "range": args.rng, "m": args.m, "k1": args.k1, "k2": args.k2,
         "D": args.D, "lambda": args.lam, "R": args.R, "tol": args.tol, "grid": args.grid,
     }
-    if args.format == "json":
-        _emit_json(_record("scan", inputs, {"rows": rows}, warnings))
-    else:
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        _emit_csv(
-            [name, "value", "method_agreement"],
-            [[r[name], r["value"], r["method_agreement"]] for r in rows],
-        )
+    _emit(
+        args, "scan", inputs, {"rows": rows}, warnings, [name, "value", "method_agreement"],
+        [[r[name], r["value"], r["method_agreement"]] for r in rows],
+    )
     return EXIT_OK
 
 

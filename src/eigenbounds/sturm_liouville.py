@@ -104,12 +104,15 @@ def _build_mesh(ell: float, n_uniform: int, layer: float | None) -> np.ndarray:
 
 def _weight_tables(problem: SLProblem, ts: np.ndarray):
     mids = 0.5 * (ts[:-1] + ts[1:])
-    w_nodes = np.asarray(problem.weight(ts), dtype=float)
-    w_mids = np.asarray(problem.weight(mids), dtype=float)
+    # a weight that grows like exp(a*t) overflows on a long interval; that
+    # is a solver failure, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_nodes = np.asarray(problem.weight(ts), dtype=float)
+        w_mids = np.asarray(problem.weight(mids), dtype=float)
     if np.any(w_nodes <= 0) or np.any(w_mids <= 0):
         raise DomainError("weight not positive on [0, ell]")
     if not (np.all(np.isfinite(w_nodes)) and np.all(np.isfinite(w_mids))):
-        raise DomainError("coefficient not finite on [0, ell]")
+        raise SolverError("weight not finite on the grid: it overflows in floating point")
     return w_nodes, w_mids
 
 

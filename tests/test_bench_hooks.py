@@ -1,0 +1,34 @@
+"""The benchmark's per-layer spans see every bound a CLI command makes.
+
+`bench/spans.py` traces by swapping module attributes.  A refactor that
+binds a traced name early (at import time) or renames it would silently
+zero the benchmark's per-layer counts; these tests fail instead.
+"""
+
+import pathlib
+import sys
+
+from eigenbounds.cli import main
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+
+from bench import spans  # noqa: E402
+
+
+def test_traced_names_exist():
+    missing = [f"{m.__name__}.{a}" for m, a, _, _ in spans.TARGETS if not hasattr(m, a)]
+    assert missing == []
+
+
+def test_cli_bounds_are_traced(capsys):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["bound", "kahler-neumann", "--D", "1"]) == 0
+        assert main(["scan", "--param", "D", "--range", "1:1.5:0.5", "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["bounds.bound.calls"] == 3
+    assert metrics["sturm_liouville.solve_shooting.calls"] == 3

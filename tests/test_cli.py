@@ -125,6 +125,15 @@ class TestBound:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
 
+    def test_weight_overflow_exits_1(self, capsys):
+        # the m = 50 weight cosh(2t)^98 overflows long before D = 1000: one
+        # solver line, no numpy warnings
+        code, out, err = run_cli(
+            capsys, "bound", "kahler-neumann", "--m", "50", "--k2", "-4", "--D", "1000"
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
+
     @pytest.mark.parametrize(
         "case", GOLDEN,
         ids=lambda c: " ".join(c["argv"][1:] if c["argv"][0] == "bound" else c["argv"]),
@@ -254,10 +263,40 @@ class TestScan:
         assert ei.value.code == 64
 
     def test_bad_range_is_usage(self, capsys):
-        for bad in ("bad", "1:2", "1:2:-0.5", "2:1:0.5", "nan:1:0.5", "1:inf:0.5", "1:2:inf"):
+        bad_ranges = (
+            "bad", "1:2", "1:2:-0.5", "2:1:0.5", "nan:1:0.5", "1:inf:0.5", "1:2:inf", "1:1e12:1",
+        )
+        for bad in bad_ranges:
             with pytest.raises(SystemExit) as ei:
                 main(["scan", "--param", "D", "--range", bad])
             assert ei.value.code == 64
+
+    # a scan row is the `bound` request of its family with the scanned flag
+    # set to the row's value, so the two agree bit for bit
+    @pytest.mark.parametrize(
+        "param, bound_argv",
+        [
+            ("D", "kahler-neumann --m 2 --D 1.5"),
+            ("k1", "kahler-neumann --m 2 --k1 0.5 --D 1.5"),
+            ("k2", "kahler-neumann --m 3 --k2 0.5 --D 1.5"),
+            ("lambda", "kahler-dirichlet --m 2 --k1 0.25 --lambda 0.5 --R 0.5"),
+            ("R", "kahler-dirichlet --m 2 --k1 0.25 --R 0.5"),
+        ],
+    )
+    def test_scan_row_is_bound_record(self, capsys, param, bound_argv):
+        family, *flags = bound_argv.split()
+        v = flags[flags.index(f"--{param}") + 1]
+        code, out, _ = run_cli(capsys, "bound", family, *flags)
+        assert code == 0
+        expected = parse_json(out)["results"]
+        code, out, _ = run_cli(
+            capsys, "scan", "--param", param, "--range", f"{v}:{v}:1", *flags, "--format", "json"
+        )
+        assert code == 0
+        (row,) = parse_json(out)["results"]["rows"]
+        assert row[param] == float(v)
+        assert row["value"] == expected["value"]
+        assert row["method_agreement"] == expected["method_agreement"]
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenbounds.coefficients import CurvatureParams, weight_kahler
-from eigenbounds.errors import DomainError, NoBracketFound, ZeroDenominator
+from eigenbounds.errors import DomainError, NoBracketFound, SolverError, ZeroDenominator
 from eigenbounds.sturm_liouville import (
     EigenResult,
     SLProblem,
@@ -114,6 +114,13 @@ def test_no_bracket_above_scan_ceiling():
     w = lambda t: np.exp(440.0 * np.asarray(t, dtype=float))
     with pytest.raises(NoBracketFound):
         solve_shooting(SLProblem(length=1.0, weight=w))
+
+
+def test_overflowing_weight_is_solver_error():
+    # exp(800 t) overflows near t = 0.89: a solver failure, not a numpy warning
+    w = lambda t: np.exp(800.0 * np.asarray(t, float))
+    with pytest.raises(SolverError):
+        solve_shooting(SLProblem(1.0, w))
 
 
 # --- finite differences ------------------------------------------------------
