@@ -136,17 +136,9 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     sharp = order > 0
     limit_error = None
     if sharp:
-        state = {"bracket": None, "prev": None}
-
         def solve_at(h):
-            length = ell * (1.0 - h)
-            prob = SLProblem(length=length, weight=weight_fn, layer=ell * h, name=name)
-            res = solve_shooting(prob, tol=tol, bracket=state["bracket"], want_phi=False)
-            prev = state["prev"]
-            drop = (prev - res.value) if prev is not None else 0.3 * res.value
-            state["bracket"] = (res.value - 1.5 * max(drop, 1e-9 * res.value), res.value)
-            state["prev"] = res.value
-            return res.value
+            prob = SLProblem(length=ell * (1.0 - h), weight=weight_fn, layer=ell * h, name=name)
+            return solve_shooting(prob, tol=tol, want_phi=False).value
 
         shoot_val, limit_error, _ = eigen_limit(solve_at, LIMIT_STEPS, order=order)
         shoot_resid = limit_error

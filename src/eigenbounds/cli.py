@@ -110,6 +110,14 @@ def _parse_range(text: str):
     return values
 
 
+def nonnegative_int(text):
+    """argparse type of --seed: numpy refuses a negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--grid", type=int, default=2000, help="finite-difference grid size")
@@ -143,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite", choices=SUITE_NAMES)
-    pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pv.add_argument("--seed", type=nonnegative_int, default=DEFAULT_SEED)
     _add_common(pv)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
 

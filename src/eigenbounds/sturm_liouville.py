@@ -3,8 +3,9 @@
 Two independent routes to the same eigenvalues:
 
   * solve_shooting: integrates the self-adjoint first-order system
-    phi' = u/w, u' = -lam*w*phi from the left end and root-finds the
-    Neumann shooting function S(lam) = u(ell; lam).
+    phi' = u/w, u' = -lam*w*phi from the left end, brackets the sign
+    change of the Neumann shooting function S(lam) = u(ell; lam) by a
+    walk in lam and finds its root with brentq.
   * solve_fd: finite-difference discretization of (w phi')' = -lam*w*phi,
     reduced to a symmetric tridiagonal pencil and solved by LAPACK
     Sturm-sequence bisection, with Richardson extrapolation over n and 2n.
@@ -26,6 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure, ZeroDenominator
 
@@ -39,11 +41,16 @@ __all__ = [
     "eigen_limit",
 ]
 
-# lambda-scan contract: geometric grid from SCAN_FLOOR_FACTOR * pi^2/(4 ell^2)
-# up to SCAN_CEIL_FACTOR / ell^2, SCAN_STEPS_PER_DECADE points per decade
+# the shooting solver looks for the first eigenvalue in
+# [SCAN_FLOOR_FACTOR * pi^2/(4 ell^2), SCAN_CEIL_FACTOR / ell^2]
 SCAN_FLOOR_FACTOR = 1e-2
 SCAN_CEIL_FACTOR = 1e4
-SCAN_STEPS_PER_DECADE = 400
+# relative tolerance of the shooting root
+ROOT_RTOL = 1e-14
+# FD cells per grid: the 2n-cell pencil costs about 130 bytes a row (n = 10^6:
+# 250 MB, 2.7 s on a 2-core VM), and its rounding error, which grows like n^2,
+# passes the truncation error near n = 10^4, so a larger grid only costs memory
+MAX_FD_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,10 @@ def _shoot(steps, lam, want_path=False):
 
     y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `steps` holds
     (h, w(t), w(t + h/2), w(t + h)) for each cell as plain Python floats.
-    `lam` is a float or an ndarray; with an ndarray every operation
-    broadcasts, so entry i equals the float sweep at lam[i] bit for bit.
-    Returns the Neumann shooting value S(lam) = u(ell) and, with
-    want_path (float lam only), also the phi samples at the nodes.
+    Returns the Neumann shooting value S(lam) = u(ell), or -w(0) as soon as
+    a node has phi < 0 < u, so S(lam) > 0 exactly when lam lies below the
+    first eigenvalue.  With want_path the sweep runs to the end and returns
+    the phi samples at the nodes instead.
     """
     neg = -lam  # exact; -lam * w * phi already parses as (-lam) * w * phi
     phi = 0.0
@@ -149,11 +156,14 @@ def _shoot(steps, lam, want_path=False):
         slope = slope + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         if want_path:
             path.append(phi)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(slope))):
+        elif phi < 0.0 < slope:
+            # u falls while phi > 0 and phi turns only after u has, so
+            # phi < 0 < u puts the Pruefer angle past 3pi/2: lam is past
+            # the first eigenvalue
+            return -steps[0][1]
+    if not (math.isfinite(phi) and math.isfinite(slope)):
         raise StabilityFailure("shooting integration overflowed")
-    if want_path:
-        return slope, np.array(path)
-    return slope
+    return np.array(path) if want_path else slope
 
 
 class _Shooter:
@@ -163,10 +173,11 @@ class _Shooter:
         self.problem = problem
         self._cache = {}
 
-    def mesh(self, lam, per_rad=60.0, floor=4000):
-        """Nodes and step table resolving the phase of max(lam)."""
-        phase = math.sqrt(max(np.max(lam), 0.0)) * self.problem.length
-        n_uniform = max(floor, int(per_rad * phase))
+    def mesh(self, lam):
+        """Nodes and step table resolving the phase of lam: 60 steps per
+        radian, at least 4,000."""
+        phase = math.sqrt(max(lam, 0.0)) * self.problem.length
+        n_uniform = max(4000, int(60.0 * phase))
         if n_uniform not in self._cache:
             ts = _build_mesh(self.problem.length, n_uniform, self.problem.layer)
             w_nodes, w_mids = _weight_tables(self.problem, ts)
@@ -175,120 +186,61 @@ class _Shooter:
             self._cache[n_uniform] = (ts, steps)
         return self._cache[n_uniform]
 
-    def __call__(self, lam, per_rad=60.0, floor=4000):
-        return _shoot(self.mesh(lam, per_rad, floor)[1], lam)
 
-
-def _scan_bracket(shooter: _Shooter, ell: float):
-    """Geometric lambda scan; returns the first sign-change bracket of S."""
+def _bracket(shooter: _Shooter, ell: float):
+    """Walk by factors of 4 from pi^2/(4 ell^2) to a sign change of S,
+    inside the documented range; returns (lo, hi) with S(lo) > 0 >= S(hi)."""
     lam_lo = SCAN_FLOOR_FACTOR * math.pi**2 / (4.0 * ell * ell)
     lam_hi = SCAN_CEIL_FACTOR / (ell * ell)
-    decades = math.log10(lam_hi / lam_lo)
-    n_chunks = int(math.ceil(decades))
-    prev_lam = None
-    prev_s = None
-    for c in range(n_chunks):
-        lo = lam_lo * 10.0**c
-        hi = min(lam_lo * 10.0 ** (c + 1), lam_hi)
-        lams = np.geomspace(lo, hi, SCAN_STEPS_PER_DECADE + 1)
-        svals = shooter(lams, per_rad=25.0, floor=600)
-        if c == 0 and svals[0] <= 0.0:
-            raise NoBracketFound(
-                "shooting function not positive at the scan floor; "
-                "first eigenvalue below the documented scan range"
-            )
-        if prev_s is not None and prev_s > 0.0 >= svals[0]:
-            return prev_lam, float(lams[0])
-        idx = np.nonzero((svals[:-1] > 0.0) & (svals[1:] <= 0.0))[0]
-        if idx.size:
-            i = int(idx[0])
-            return float(lams[i]), float(lams[i + 1])
-        # keep the second-to-last point so a sign flip right at the chunk
-        # seam still yields a bracket of nonzero width
-        prev_lam, prev_s = float(lams[-2]), float(svals[-2])
-    raise NoBracketFound(f"no sign change of the shooting function up to lambda = {lam_hi}")
+    lam = math.pi**2 / (4.0 * ell * ell)
+
+    def below(lam):
+        return _shoot(shooter.mesh(lam)[1], lam) > 0.0
+
+    if below(lam):
+        while lam < lam_hi:
+            lo, lam = lam, min(4.0 * lam, lam_hi)
+            if not below(lam):
+                return lo, lam
+        raise NoBracketFound(f"no sign change of the shooting function up to lambda = {lam_hi}")
+    while lam > lam_lo:
+        hi, lam = lam, max(0.25 * lam, lam_lo)
+        if below(lam):
+            return lam, hi
+    raise NoBracketFound(
+        "shooting function not positive at the scan floor; "
+        "first eigenvalue below the documented scan range"
+    )
 
 
-def _refine(shooter: _Shooter, lo: float, hi: float, tol: float):
-    """Bisection (batched) plus safeguarded secant until |S| < tol.
-
-    S is normalized by its value at lambda -> 0 (the left-end flux) so the
-    tolerance is scale free.  Returns (lam, |S_norm|).
-    """
-    s_scale = abs(shooter(0.0)) or 1.0
-    # batched bisection: two rounds with 32 interior points shrink the
-    # bracket by ~1000x
-    for _ in range(2):
-        if hi - lo <= 1e-13 * hi:
-            break
-        grid = np.linspace(lo, hi, 34)
-        svals = shooter(grid[1:-1], per_rad=40.0, floor=1500)
-        below = np.nonzero(svals <= 0.0)[0]
-        if below.size == 0:
-            lo = float(grid[-2])
-            continue
-        j = int(below[0])
-        hi = float(grid[1 + j])
-        if j > 0:
-            lo = float(grid[j])
-    s_lo = shooter(lo) / s_scale
-    s_hi = shooter(hi) / s_scale
-    if s_lo == 0.0:
-        return lo, 0.0
-    lam, s_lam = hi, s_hi
-    for _ in range(80):
-        if abs(s_lam) < tol or hi - lo <= 1e-14 * hi:
-            return lam, abs(s_lam)
-        denom = s_hi - s_lo
-        if denom == 0.0:
-            lam = 0.5 * (lo + hi)
-        else:
-            lam = hi - s_hi * (hi - lo) / denom
-            if not (lo < lam < hi):
-                lam = 0.5 * (lo + hi)
-        s_lam = shooter(lam) / s_scale
-        if s_lam > 0.0:
-            lo, s_lo = lam, s_lam
-        else:
-            hi, s_hi = lam, s_lam
-    return lam, abs(s_lam)
-
-
-def solve_shooting(
-    problem: SLProblem, tol: float = 1e-10, bracket=None, want_phi: bool = True
-) -> EigenResult:
+def solve_shooting(problem: SLProblem, tol: float = 1e-10, want_phi: bool = True) -> EigenResult:
     """First eigenvalue of the mixed problem by shooting.
 
-    Integrates from phi(0) = 0 with unit initial slope and root-finds the
-    right-end flux S(lam).  `bracket`, when given, is a (lo, hi) warm
-    start; it is verified and the scan is skipped if it already straddles
-    the root.  Eigenfunction is reported with phi'(0) = 1; callers that
-    only need the eigenvalue pass want_phi=False to skip that pass.
+    Integrates from phi(0) = 0 with unit initial slope.  A walk by factors
+    of 4 brackets the sign change of S(lam) (see _shoot), and brentq finds
+    the root on the mesh of the bracket's upper end.  `tol` bounds the
+    normalized residual |S(lam)/S(0)| at that root; a root that misses it
+    is a SolverError.  Eigenfunction is reported with phi'(0) = 1; callers
+    that only need the eigenvalue pass want_phi=False to skip that pass.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     shooter = _Shooter(problem)
-    lo = hi = None
-    if bracket is not None:
-        b_lo, b_hi = bracket
-        if 0 < b_lo < b_hi and shooter(b_lo) > 0.0 >= shooter(b_hi):
-            lo, hi = b_lo, b_hi
-    if lo is None:
-        lo, hi = _scan_bracket(shooter, problem.length)
-    lam, resid = _refine(shooter, lo, hi, tol)
-    ts, steps = shooter.mesh(lam)
-    grid = len(ts) - 1
-    if want_phi:
-        _, phi = _shoot(steps, lam, want_path=True)
-    else:
-        ts = phi = None
+    lo, hi = _bracket(shooter, problem.length)
+    ts, steps = shooter.mesh(hi)
+    # brentq returns a point it has evaluated: keep each S(lam) for the residual
+    svals = {}
+    lam = brentq(
+        lambda x: svals.setdefault(x, _shoot(steps, x)), lo, hi, xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL
+    )
+    # S(0) = u(0) = w(0): at lam = 0 the flux is constant
+    resid = abs(svals[lam]) / steps[0][1]
+    if not resid <= tol:
+        raise SolverError(f"shooting residual {resid:.3g} misses tol = {tol} at lambda = {lam}")
+    phi = _shoot(steps, lam, want_path=True) if want_phi else None
     return EigenResult(
-        value=float(lam),
-        method="shooting",
-        residual=float(resid),
-        grid_size=grid,
-        ts=ts,
-        phi=phi,
+        value=lam, method="shooting", residual=resid, grid_size=len(steps),
+        ts=ts if want_phi else None, phi=phi,
     )
 
 
@@ -345,6 +297,8 @@ def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
     """
     if n < 16:
         raise DomainError("n must be at least 16")
+    if n > MAX_FD_CELLS:
+        raise DomainError(f"n must be at most {MAX_FD_CELLS}")
     lam_n, _ = _fd_eigh(*_fd_mixed_pencil(problem.weight, problem.length, n)[:3], (0, 0))
     diag, off, mass, nodes = _fd_mixed_pencil(problem.weight, problem.length, 2 * n)
     lam_2n, vecs = _fd_eigh(diag, off, mass, (0, 0))
@@ -378,6 +332,8 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
         raise DomainError("half_length must be positive and finite")
     if n < 16:
         raise DomainError("n must be at least 16")
+    if n > MAX_FD_CELLS:
+        raise DomainError(f"n must be at most {MAX_FD_CELLS}")
 
     def pencil(cells):
         h = 2.0 * ell / cells

@@ -32,3 +32,18 @@ def test_cli_bounds_are_traced(capsys):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["bounds.bound.calls"] == 3
     assert metrics["sturm_liouville.solve_shooting.calls"] == 3
+
+
+def test_sharp_bound_layers(capsys):
+    # one limit fit over six truncated shooting solves
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["bound", "kahler-neumann", "--m", "2", "--k1", "1", "--D", "1.5707963267948966"]
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["sturm_liouville.eigen_limit.calls"] == 1
+    assert metrics["sturm_liouville.solve_shooting.calls"] == 6

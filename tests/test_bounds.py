@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenbounds import sturm_liouville
 from eigenbounds.bounds import (
     explicit_bound_table,
     kahler_dirichlet_bound,
@@ -68,6 +69,29 @@ class TestKnownValues:
         # flat boundary profile C = 1 - lam*t with lam = 0: plain string
         r = riemannian_dirichlet_bound(3, 0.0, 0.0, 0.5)
         assert r.value == pytest.approx(PI2 / (4 * 0.25), rel=1e-9)
+
+
+class TestShootingWork:
+    @pytest.mark.parametrize(
+        "params, D, most",
+        [
+            (CurvatureParams(m=2, kappa1=0.25), 2.0, 20),
+            (CurvatureParams(m=2, kappa1=1.0), math.pi / 2, 120),
+        ],
+        ids=["regular", "kappa1_sharp"],
+    )
+    def test_shooting_lambdas_per_bound(self, monkeypatch, params, D, most):
+        # S(lam) evaluations for one bound; an array of lambdas counts each entry
+        inner = sturm_liouville._shoot
+        lams = []
+
+        def counted(steps, lam, *args, **kwargs):
+            lams.append(np.size(lam))
+            return inner(steps, lam, *args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "_shoot", counted)
+        kahler_neumann_bound(params, D)
+        assert sum(lams) <= most
 
 
 class TestIdentities:

@@ -125,6 +125,14 @@ class TestBound:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
 
+    def test_grid_above_cap_exits_2(self, capsys):
+        # refused before any finite-difference array is allocated
+        code, out, err = run_cli(
+            capsys, "bound", "kahler-neumann", "--D", "1", "--grid", "200000000"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: validity:")
+
     def test_weight_overflow_exits_1(self, capsys):
         # the m = 50 weight cosh(2t)^98 overflows long before D = 1000: one
         # solver line, no numpy warnings
@@ -208,6 +216,15 @@ class TestVerify:
         rows = parse_csv(out)
         assert all(set(r) == {"check", "ok", "tol"} for r in rows)
         assert all(r["ok"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("suite", ["surfaces", "heatflow"])
+    def test_negative_seed_is_usage(self, capsys, suite):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify", suite, "--seed", "-1"])
+        assert ei.value.code == 64
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert "--seed: must be non-negative" in out.err
 
     def test_unknown_suite_is_usage(self, capsys):
         with pytest.raises(SystemExit) as ei:

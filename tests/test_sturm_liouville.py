@@ -52,15 +52,6 @@ def test_shooting_flat_scaling():
         assert r.value == pytest.approx(math.pi**2 / (4 * ell * ell), rel=1e-11)
 
 
-def test_shooting_warm_bracket():
-    exact = math.pi**2 / 4
-    r = solve_shooting(FLAT, bracket=(0.9 * exact, 1.1 * exact))
-    assert r.value == pytest.approx(exact, rel=1e-12)
-    # a useless bracket falls back to the scan
-    r2 = solve_shooting(FLAT, bracket=(5.0, 6.0))
-    assert r2.value == pytest.approx(exact, rel=1e-12)
-
-
 def test_shooting_monotone_eigenfunction():
     # Increasing first eigenfunction on the half interval
     p = SLProblem(length=1.2, weight=lambda t: np.cosh(np.asarray(t, float)) ** 3)
@@ -69,21 +60,26 @@ def test_shooting_monotone_eigenfunction():
     assert np.all(np.diff(r.phi) > -1e-9 * np.abs(r.phi).max())
 
 
-@pytest.mark.parametrize("layer", [None, NEAR_CAP.layer], ids=["uniform", "graded"])
-def test_array_sweep_equals_float_sweeps(layer):
-    # the array sweep broadcasts the float sweep's arithmetic, so each of
-    # its entries is that float sweep bit for bit
-    shooter = _Shooter(SLProblem(NEAR_CAP.length, NEAR_CAP.weight, layer=layer))
-    lams = np.geomspace(0.5, 200.0, 50)
-    _, steps = shooter.mesh(lams, per_rad=25.0, floor=600)
-    svals = _shoot(steps, lams)
-    assert np.any(svals > 0.0) and np.any(svals <= 0.0)
-    for i, lam in enumerate(lams):
-        assert svals[i] == _shoot(steps, float(lam))
+@pytest.mark.parametrize("problem", [FLAT, NEAR_CAP], ids=["flat", "near_cap"])
+def test_shooting_sign_marks_first_eigenvalue(problem):
+    # S(lam) > 0 exactly below the first eigenvalue, on the mesh the solver
+    # uses; every lam up to 40 lam1 shares that mesh
+    r = solve_shooting(problem, want_phi=False)
+    _, steps = _Shooter(problem).mesh(40.0 * r.value)
+    assert len(steps) == r.grid_size
+    for lam in r.value * np.linspace(0.01, 1.0 - 1e-9, 100):
+        assert _shoot(steps, float(lam)) > 0.0
+    above = r.value * np.linspace(1.0 + 1e-9, 40.0, 400)
+    if problem is FLAT:
+        # past the second eigenvalue the raw flux u(1) = cos(sqrt(30)) is positive
+        assert math.cos(math.sqrt(30.0)) > 0.0
+        above = np.append(above, 30.0)
+    for lam in above:
+        assert _shoot(steps, float(lam)) <= 0.0
 
 
 def test_shooting_grid_size_ignores_want_phi():
-    # the refinement's graded mesh has fewer steps than its uniform count
+    # the solver's graded mesh has fewer steps than its uniform count
     with_phi = solve_shooting(NEAR_CAP)
     without = solve_shooting(NEAR_CAP, want_phi=False)
     assert with_phi.grid_size == without.grid_size == len(with_phi.ts) - 1
@@ -95,6 +91,14 @@ def test_shooting_rejects_bad_input():
         solve_shooting(FLAT, tol=0.0)
     with pytest.raises(DomainError):
         solve_shooting(SLProblem(length=1.0, weight=lambda t: -flat(t)))
+
+
+def test_shooting_misses_tol_is_solver_error():
+    # the root is converged near machine precision; a residual tolerance
+    # below what that root reaches is refused, not silently exceeded
+    with pytest.raises(SolverError):
+        solve_shooting(NEAR_CAP, tol=1e-300)
+    assert solve_shooting(FLAT, tol=math.inf).value == pytest.approx(math.pi**2 / 4, rel=1e-12)
 
 
 def test_no_bracket_below_scan_floor():
