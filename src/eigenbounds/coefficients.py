@@ -161,9 +161,24 @@ def s_kappa(kappa: float, t):
 def big_c(kappa: float, lam: float, t):
     """Boundary-curvature profile: solves y'' + kappa y = 0, y(0)=1, y'(0)=-lam.
 
-    Closed form c_kappa(t) - lam * s_kappa(t).
+    Closed form c_kappa(t) - lam * s_kappa(t).  For kappa < 0 and
+    lam <= root = sqrt(-kappa) the profile has no zero, but with lam near
+    root it nears exp(-x), x = root t, while cosh(x) and lam s_kappa(t)
+    grow and cancel.  Where their difference is below 1.5e-8 cosh(x), half
+    its digits are lost, so it is recomputed as the sum of nonnegative
+    terms exp(-x) + (1 - lam/root) sinh(x).
     """
-    return c_kappa(kappa, t) - lam * s_kappa(kappa, t)
+
+    def f(arr):
+        out = np.asarray(c_kappa(kappa, arr) - lam * s_kappa(kappa, arr))
+        if kappa < 0 and lam <= math.sqrt(-kappa):
+            root = math.sqrt(-kappa)
+            x = root * arr
+            tail = np.exp(-x) + (1.0 - lam / root) * np.sinh(x)
+            out = np.where(out < 1.5e-8 * np.cosh(x), tail, out)
+        return out
+
+    return _eval(t, f)
 
 
 def big_c_prime(kappa: float, lam: float, t):

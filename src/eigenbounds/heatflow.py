@@ -31,6 +31,7 @@ __all__ = [
     "heatflow_1d",
     "modulus_envelope_check",
     "FIT_RESIDUAL_MAX",
+    "MAX_FLOW_NODES",
 ]
 
 # rms residual of the log-oscillation fit above which the fit is rejected
@@ -38,6 +39,9 @@ FIT_RESIDUAL_MAX = 1e-3
 
 # fraction of the diffusion / transport stability limits actually used
 CFL_SAFETY = 0.4
+# grid nodes per flow: the linear flow's dense n x n propagator takes
+# 8 n^2 bytes (32 MB at n = 2048)
+MAX_FLOW_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,10 @@ class FlowResult:
     drift: Callable | None
     length: float
     fit: DecayFit | None = None
+    # explicit Euler steps taken (or folded into the propagator) and the
+    # stable step, the last one chosen when the profile moves it
+    steps: int = 0
+    dt: float = 0.0
 
 
 @dataclass
@@ -109,17 +117,25 @@ def heatflow_1d(
     `u0` is a callable sampled on the grid or an array of n node values.
     The grid is cell-centered (nodes at half-cell offsets from the ends),
     so a drift with integrable singularities at the endpoints stays
-    finite.  Explicit stepping with combined diffusion/transport stability
-    control; the step shrinks automatically where alpha or the drift is
-    large.  When `fit_target` is given, log osc is fitted on the final
-    third of [0, T] and reported as a DecayFit against that target.
+    finite.  Explicit Euler stepping with combined diffusion/transport
+    stability control; the step shrinks automatically where alpha or the
+    drift is large.  The LINEAR profile has a fixed right-hand side and
+    step, so each record interval is one precomputed propagator.  When
+    `fit_target` is given, log osc is fitted on the final third of [0, T]
+    (at least 3 records) and reported as a DecayFit against that target.
     """
     if not (np.isfinite(ell) and ell > 0):
         raise DomainError(f"half-length must be positive and finite, got {ell}")
     if not (np.isfinite(T) and T > 0):
         raise DomainError(f"time horizon must be positive and finite, got {T}")
-    if n < 16:
-        raise DomainError(f"need at least 16 nodes, got {n}")
+    if not 16 <= n <= MAX_FLOW_NODES:
+        raise DomainError(f"need 16 to {MAX_FLOW_NODES} nodes, got {n}")
+    if not (isinstance(records, (int, np.integer)) and records >= 1):
+        raise DomainError(f"records must be a positive integer, got {records!r}")
+    record_times = np.linspace(0.0, T, records + 1)
+    window = record_times >= (2.0 / 3.0) * T
+    if fit_target is not None and np.count_nonzero(window) < 3:
+        raise DomainError(f"fit window holds fewer than 3 of the {records} records")
     h = 2.0 * ell / n
     xs = -ell + (np.arange(n) + 0.5) * h
     u = np.asarray(u0(xs) if callable(u0) else u0, dtype=float).copy()
@@ -135,67 +151,42 @@ def heatflow_1d(
     if tau.shape != xs.shape or not np.all(np.isfinite(tau)):
         raise DomainError("drift must be finite on the interior grid")
 
-    record_times = np.linspace(0.0, T, records + 1)
     states = np.empty((records + 1, n))
     states[0] = u
-    inv_h2 = 1.0 / (h * h)
-    inv_2h = 0.5 / h
     dt_min = T / 1e8
-    dt_diff = CFL_SAFETY * (h * h) / 2.0
-    # constant-coefficient fast paths skip the per-step profile calls
-    a_is_one = profile.alpha is _ones
-    b_is_one = profile.beta is _ones
-    tau_zero = not np.any(tau)
-    pad = np.empty(n + 2)
-    dt = 0.0
-    refresh = 0
-    t = 0.0
+    dt, steps, refresh, t = 0.0, 0, 0, 0.0
+    prop = None
+    if profile.alpha is _ones and profile.beta is _ones:
+        # u_t = L u with L = D2 - tau D1 and one fixed step dt: a record
+        # interval is s full Euler steps and a remainder step r, so each
+        # record advances by the propagator (I + r L)(I + dt L)^s
+        eye = np.eye(n)
+        d1, d2 = _differences(eye, h)
+        lop = d2 - tau[:, None] * d1
+        dt = _stable_step(1.0, float(np.max(np.abs(tau))), h, dt_min, t)
+        s = int((T / records) // dt)
+        r = T / records - s * dt
+        prop = np.linalg.matrix_power(eye + dt * lop, s)
+        if r > 0.0:
+            prop = (eye + r * lop) @ prop
+        steps = records * (s + int(r > 0.0))
     for k in range(1, records + 1):
-        t_goal = record_times[k]
-        while t < t_goal:
-            pad[1:-1] = u
-            pad[0] = u[0]
-            pad[-1] = u[-1]
-            d1 = (pad[2:] - pad[:-2]) * inv_2h
-            d2 = (pad[2:] - 2.0 * u + pad[:-2]) * inv_h2
-            a = b = None
-            if a_is_one:
-                rhs = d2
-            else:
-                a = np.asarray(profile.alpha(d1), dtype=float)
-                if not np.all(a > 0.0):
-                    raise DomainError(
-                        f"profile {profile.name!r} must stay positive on the gradient range"
-                    )
-                rhs = a * d2
-            if not tau_zero:
-                if b_is_one:
-                    rhs = rhs - tau * d1
-                else:
-                    b = np.asarray(profile.beta(d1), dtype=float)
-                    if not np.all(b > 0.0):
-                        raise DomainError(
-                            f"profile {profile.name!r} must stay positive on the gradient range"
-                        )
-                    rhs = rhs - (tau * b) * d1
+        if prop is not None:
+            u, t = prop @ u, record_times[k]
+        # gradient-dependent profiles: one Euler step at a time, the
+        # stable step re-examined every 16 steps
+        while t < record_times[k]:
+            d1, d2 = _differences(u, h)
+            a = _coefficient(profile.alpha, d1, profile)
+            tb = tau * _coefficient(profile.beta, d1, profile)
             if refresh <= 0:
-                # stability control: diffusion and transport limits from
-                # the current coefficients, re-examined every few steps
-                dt = dt_diff if a is None else dt_diff / float(np.max(a))
-                if not tau_zero:
-                    tb = tau if b is None else tau * b
-                    transport = float(np.max(np.abs(tb)))
-                    if transport > 0.0:
-                        dt = min(dt, CFL_SAFETY * h / transport)
-                if dt < dt_min:
-                    raise StabilityFailure(
-                        f"stable step {dt:.3e} fell below {dt_min:.3e} at t = {t:.6f}"
-                    )
+                dt = _stable_step(float(np.max(a)), float(np.max(np.abs(tb))), h, dt_min, t)
                 refresh = 16
             refresh -= 1
-            step = min(dt, t_goal - t)
-            u = u + step * rhs
+            step = min(dt, record_times[k] - t)
+            u = u + step * (a * d2 - tb * d1)
             t += step
+            steps += 1
         if not np.all(np.isfinite(u)):
             raise StabilityFailure(f"solution lost finiteness by t = {t:.6f}")
         states[k] = u
@@ -203,7 +194,6 @@ def heatflow_1d(
     osc = states.max(axis=1) - states.min(axis=1)
     fit = None
     if fit_target is not None:
-        window = record_times >= (2.0 / 3.0) * T
         ts_w = record_times[window]
         log_osc = np.log(osc[window])
         slope, intercept = np.polyfit(ts_w, log_osc, 1)
@@ -223,7 +213,32 @@ def heatflow_1d(
         drift=drift,
         length=ell,
         fit=fit,
+        steps=steps,
+        dt=dt,
     )
+
+
+def _differences(u, h):
+    """Central first and second differences along axis 0, ghost-copy Neumann ends."""
+    pad = np.concatenate((u[:1], u, u[-1:]))
+    return (pad[2:] - pad[:-2]) * (0.5 / h), (pad[2:] - 2.0 * u + pad[:-2]) * (1.0 / (h * h))
+
+
+def _stable_step(a_max, transport, h, dt_min, t):
+    """Largest explicit step the diffusion and transport limits allow."""
+    dt = CFL_SAFETY * (h * h) / 2.0 / a_max
+    if transport > 0.0:
+        dt = min(dt, CFL_SAFETY * h / transport)
+    if dt < dt_min:
+        raise StabilityFailure(f"stable step {dt:.3e} fell below {dt_min:.3e} at t = {t:.6f}")
+    return dt
+
+
+def _coefficient(fn, d1, profile):
+    c = np.asarray(fn(d1), dtype=float)
+    if not np.all(c > 0.0):
+        raise DomainError(f"profile {profile.name!r} must stay positive on the gradient range")
+    return c
 
 
 def modulus_envelope_check(

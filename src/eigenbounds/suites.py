@@ -175,6 +175,8 @@ def _flow_check(name, inputs, flow, rate_tol=1e-2):
         "relative_gap": rel,
         "fit_residual": flow.fit.fit_residual,
         "oscillation_monotone": osc_ok,
+        "steps": flow.steps,
+        "dt": flow.dt,
     }
     ok = rel < rate_tol and flow.fit.fit_residual < FIT_RESIDUAL_MAX and osc_ok
     return _chk(name, inputs, values, rate_tol, ok)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenbounds.coefficients import (
@@ -206,6 +206,7 @@ def test_small_curvature_continuity(kappa, t):
 
 @given(kappas, st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=200)
+@example(kappa=-9.0, lam=3.0)  # big_c = exp(-3t): cosh - sinh used to cancel to 0
 def test_first_zero_matches_bisection(kappa, lam):
     zero = first_zero(kappa, lam)
     if math.isinf(zero):

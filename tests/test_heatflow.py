@@ -8,9 +8,11 @@ import pytest
 from eigenbounds.coefficients import CurvatureParams, drift_kahler
 from eigenbounds.errors import DegenerateInitialData, DomainError, StabilityFailure
 from eigenbounds.heatflow import (
+    CFL_SAFETY,
     FIT_RESIDUAL_MAX,
     GRAPHICAL_MCF,
     LINEAR,
+    MAX_FLOW_NODES,
     FlowProfile,
     FlowResult,
     heatflow_1d,
@@ -95,6 +97,80 @@ class TestFailureModes:
             heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=8)
         with pytest.raises(DomainError):
             heatflow_1d(None, LINEAR, 0.5, np.zeros(7), 1.0, n=32)
+        with pytest.raises(DomainError):
+            heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=MAX_FLOW_NODES + 1)
+
+    @pytest.mark.parametrize("records", [0, -3, 2.5, "400"])
+    def test_records_must_be_a_positive_int(self, records):
+        with pytest.raises(DomainError):
+            heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records)
+
+    @pytest.mark.parametrize("records", [1, 2, 3])
+    def test_fit_window_needs_three_records(self, records):
+        # records=1 and 2 used to fit one point with a zero residual
+        with pytest.raises(DomainError):
+            heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records, fit_target=PI**2)
+        r = heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records)
+        assert r.fit is None and r.states.shape == (records + 1, 32)
+
+
+def _euler_reference(drift, ell, u0, T, n, records):
+    """Plain explicit Euler loop for the linear flow, one step at a time."""
+    h = 2.0 * ell / n
+    xs = -ell + (np.arange(n) + 0.5) * h
+    u = u0(xs)
+    tau = drift(xs) if drift is not None else np.zeros(n)
+    dt = CFL_SAFETY * (h * h) / 2.0
+    if np.any(tau):
+        dt = min(dt, CFL_SAFETY * h / float(np.max(np.abs(tau))))
+    times = np.linspace(0.0, T, records + 1)
+    states = [u]
+    t = 0.0
+    for t_goal in times[1:]:
+        while t < t_goal:
+            pad = np.concatenate(([u[0]], u, [u[-1]]))
+            d1 = (pad[2:] - pad[:-2]) / (2.0 * h)
+            d2 = (pad[2:] - 2.0 * u + pad[:-2]) / (h * h)
+            step = min(dt, t_goal - t)
+            u = u + step * (d2 - tau * d1)
+            t += step
+        states.append(u)
+    states = np.array(states)
+    osc = states.max(axis=1) - states.min(axis=1)
+    window = times >= (2.0 / 3.0) * T
+    slope = np.polyfit(times[window], np.log(osc[window]), 1)[0]
+    return states, float(-slope), dt
+
+
+_KAPPA2 = CurvatureParams(m=2, kappa1=0.0, kappa2=1.0)
+_LINEAR_TWIN = FlowProfile(alpha=lambda s: np.ones_like(s), beta=lambda s: np.ones_like(s))
+
+
+class TestPropagator:
+    @pytest.mark.parametrize(
+        "drift, ell, u0, T",
+        [
+            (None, 0.5, _sign_like, 0.3),
+            (lambda x: drift_kahler(_KAPPA2, x), PI / 2, lambda x: np.tanh(4.0 * x), 0.2),
+        ],
+        ids=["flat", "kappa2_drift"],
+    )
+    def test_matches_euler_loop(self, drift, ell, u0, T):
+        n, records = 64, 60
+        r = heatflow_1d(drift, LINEAR, ell, u0, T, n=n, fit_target=1.0, records=records)
+        states, rate, dt = _euler_reference(drift, ell, u0, T, n, records)
+        scale = float(np.max(np.abs(states[0])))
+        assert np.max(np.abs(r.states - states)) <= 1e-12 * scale
+        assert abs(r.fit.fitted_rate - rate) <= 1e-10 * abs(rate)
+        # the benchmark counts node records from the state array
+        assert r.states.size == (records + 1) * n
+        assert r.dt == dt
+        assert r.steps == records * math.ceil(T / records / dt)
+        # the same flow under a profile the propagator does not recognize
+        # runs the step loop, one counted step at a time
+        loop = heatflow_1d(drift, _LINEAR_TWIN, ell, u0, T, n=n, records=records)
+        assert (loop.steps, loop.dt) == (r.steps, r.dt)
+        assert np.max(np.abs(loop.states - states)) <= 1e-12 * scale
 
 
 def _envelope_constant(C, lam):
