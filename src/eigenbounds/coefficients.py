@@ -182,8 +182,24 @@ def big_c(kappa: float, lam: float, t):
 
 
 def big_c_prime(kappa: float, lam: float, t):
-    """Exact derivative of big_c: -kappa*s_kappa(t) - lam*c_kappa(t)."""
-    return -kappa * s_kappa(kappa, t) - lam * c_kappa(kappa, t)
+    """Exact derivative of big_c: -kappa*s_kappa(t) - lam*c_kappa(t).
+
+    Cancels like big_c for kappa < 0 with lam near root = sqrt(-kappa);
+    where the closed form is below 1.5e-8 lam cosh(x), x = root t, it is
+    recomputed as -root exp(-x) + (root - lam) cosh(x), whose terms are
+    no larger than lam cosh(x) for root/2 <= lam <= root.
+    """
+
+    def f(arr):
+        out = np.asarray(-kappa * s_kappa(kappa, arr) - lam * c_kappa(kappa, arr))
+        if kappa < 0 and 0.5 * math.sqrt(-kappa) <= lam <= math.sqrt(-kappa):
+            root = math.sqrt(-kappa)
+            x = root * arr
+            tail = -root * np.exp(-x) + (root - lam) * np.cosh(x)
+            out = np.where(np.abs(out) < 1.5e-8 * lam * np.cosh(x), tail, out)
+        return out
+
+    return _eval(t, f)
 
 
 def big_c_second(kappa: float, lam: float, t):

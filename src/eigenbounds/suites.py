@@ -311,6 +311,8 @@ def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, **_) -> SuiteRe
                     "margin": rep.margin,
                     "slack": rep.slack,
                     "k_min": rep.k_min,
+                    "diameter_nodes": rep.diameter_nodes,
+                    "diameter_sources": rep.diameter_sources,
                 },
                 -rep.slack,
                 rep.ok,

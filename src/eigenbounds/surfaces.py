@@ -16,7 +16,13 @@ The diameter estimator builds a graph on an (r, theta) grid whose edge
 weights are lengths of actual curves on the surface, so every graph
 distance overestimates the true distance and the maximum overestimates
 the diameter.  Wide move stencils keep the overestimation factor well
-under the refinement tolerance.
+under the refinement tolerance.  The graph is folded by the mirror
+symmetry theta -> -theta onto the columns 0..n_t/2, keeping the
+lightest of any parallel edges.  This is exact: edge weights depend on
+|dtheta| only and every Dijkstra source (column 0, a pole) is fixed by
+the reflection, so each folded path is the image of a full-circle path
+with the same weights in the same order, and Dijkstra returns the same
+floats on about half the nodes.
 
 The comparison report puts the two together against the m = 1 interior
 bound with kappa_1 = K_min / 4, K_min the minimum Gauss curvature -f''/f.
@@ -112,6 +118,8 @@ class DiameterEstimate:
     change: float
     n_r: int
     n_theta: int
+    nodes: int  # folded graph nodes of the accepted level
+    sources: int  # its Dijkstra start vertices
 
 
 @dataclass
@@ -123,6 +131,8 @@ class SurfaceComparison:
     mu1_error: float
     diameter: float
     diameter_used: float
+    diameter_nodes: int
+    diameter_sources: int
     k_min: float
     kappa1: float
     bound: float
@@ -139,6 +149,8 @@ class SurfaceComparison:
             "mu1_error": self.mu1_error,
             "diameter": self.diameter,
             "diameter_used": self.diameter_used,
+            "diameter_nodes": self.diameter_nodes,
+            "diameter_sources": self.diameter_sources,
             "k_min": self.k_min,
             "kappa1": self.kappa1,
             "bound": self.bound,
@@ -388,13 +400,15 @@ def _diameter_once(profile: SurfaceProfile, n_r: int):
     # pairs of a surface of revolution sit
     n_t = 2 * int(np.clip(round(math.pi * f_typical / h), 4, 3 * n_r))
     dtheta = 2.0 * math.pi / n_t
-    n_nodes = n_rings * n_t + (2 if poles else 0)
+    # mirror fold: columns 0..n_t/2, column j stands for j and n_t - j
+    half = n_t // 2 + 1
+    n_nodes = n_rings * half + (2 if poles else 0)
 
     def node(i, j):
-        return i * n_t + (j % n_t)
+        return i * half + np.minimum(j % n_t, -j % n_t)
 
     rows, cols, wts = [], [], []
-    all_j = np.arange(n_t)
+    all_j = np.arange(half)
     for a, b in _moves():
         if a >= n_rings:
             continue
@@ -404,23 +418,23 @@ def _diameter_once(profile: SurfaceProfile, n_r: int):
         samples = radii[i0][:, None] + np.linspace(0.0, a * h, 2 * a + 1)[None, :]
         fmax = np.max(np.asarray(profile.f(samples), dtype=float), axis=1)
         w = np.sqrt((a * h) ** 2 + (fmax * abs(b) * dtheta) ** 2)
-        src = (i0[:, None] * n_t + all_j[None, :]).ravel()
-        dst = ((i0[:, None] + a) * n_t + (all_j[None, :] + b) % n_t).ravel()
-        rows.append(src)
-        cols.append(dst)
-        wts.append(np.repeat(w, n_t))
+        rows.append(node(i0[:, None], all_j[None, :]).ravel())
+        cols.append(node(i0[:, None] + a, all_j[None, :] + b).ravel())
+        wts.append(np.repeat(w, half))
     if poles:
-        p0, pL = n_rings * n_t, n_rings * n_t + 1
-        rows.append(np.full(n_t, p0))
-        cols.append(node(0, 0) + all_j)
-        wts.append(np.full(n_t, 0.5 * h))
-        rows.append(np.full(n_t, pL))
-        cols.append(node(n_rings - 1, 0) + all_j)
-        wts.append(np.full(n_t, 0.5 * h))
-    graph = csr_matrix(
-        (np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_nodes, n_nodes),
-    )
+        p0, pL = n_rings * half, n_rings * half + 1
+        for p, i in ((p0, 0), (pL, n_rings - 1)):
+            rows.append(np.full(half, p))
+            cols.append(node(i, 0) + all_j)
+            wts.append(np.full(half, 0.5 * h))
+    # keep the lightest of the edges the fold makes parallel (near columns
+    # 0 and n_t/2); csr_matrix would sum them
+    u, v, w = np.concatenate(rows), np.concatenate(cols), np.concatenate(wts)
+    key = np.minimum(u, v) * n_nodes + np.maximum(u, v)
+    order = np.lexsort((w, key))
+    key = key[order]
+    first = order[np.r_[True, key[1:] != key[:-1]]]
+    graph = csr_matrix((w[first], (u[first], v[first])), shape=(n_nodes, n_nodes))
     sources = [node(i, 0) for i in range(0, n_rings, 2)]
     sources.append(node(n_rings - 1, 0))
     if poles:
@@ -428,7 +442,7 @@ def _diameter_once(profile: SurfaceProfile, n_r: int):
     dist = dijkstra(graph, directed=False, indices=sources)
     if not np.all(np.isfinite(dist)):
         raise SolverError("diameter graph came out disconnected")
-    return float(np.max(dist)), n_t
+    return float(np.max(dist)), n_t, n_nodes, len(sources)
 
 
 def surface_diameter_upper(
@@ -441,10 +455,10 @@ def surface_diameter_upper(
     """
     prev = None
     for level in range(max_levels):
-        value, n_t = _diameter_once(profile, n_r * 2**level)
+        value, n_t, nodes, sources = _diameter_once(profile, n_r * 2**level)
         if prev is not None and abs(value - prev) <= tol * value:
             return DiameterEstimate(
-                value=value, change=abs(value - prev), n_r=n_r * 2**level, n_theta=n_t
+                value, abs(value - prev), n_r * 2**level, n_t, nodes, sources
             )
         prev = value
     raise SolverError(f"diameter estimate failed to settle within {max_levels} refinements")
@@ -491,6 +505,8 @@ def comparison_check(
         mu1_error=spec.mu1_error,
         diameter=est.value,
         diameter_used=d_used,
+        diameter_nodes=est.nodes,
+        diameter_sources=est.sources,
         k_min=k_min,
         kappa1=kappa1,
         bound=bound.value,

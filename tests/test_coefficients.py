@@ -191,6 +191,20 @@ def test_big_c_solves_ode(kappa, lam, frac):
     assert fd == pytest.approx(big_c_prime(kappa, lam, t), rel=1e-7, abs=1e-7)
 
 
+def test_big_c_prime_no_cancellation_at_critical_lam():
+    # kappa = -9, lam = 3: big_c = exp(-3t), so big_c' = -3 exp(-3t), where
+    # 3 sinh(3t) - 3 cosh(3t) cancels
+    assert big_c_prime(-9.0, 3.0, 20.0) == pytest.approx(-3.0 * math.exp(-60.0), rel=1e-12)
+
+
+def test_t_kappa_lambda_no_cancellation_at_critical_lam():
+    # the drift -big_c'/big_c of exp(-3t) is exactly 3 for every t
+    assert t_kappa_lambda(-9.0, 3.0, 12.0) == pytest.approx(3.0, rel=1e-12)
+    # below the 1.5e-8 switch the closed forms keep at least half their digits
+    ts = np.linspace(0.0, 20.0, 201)
+    np.testing.assert_allclose(t_kappa_lambda(-9.0, 3.0, ts), 3.0, rtol=1e-7)
+
+
 @given(kappas, fractions)
 def test_t_kappa_lambda_reduces_at_zero_lam(kappa, frac):
     t = abs(t_in_domain(kappa, frac))

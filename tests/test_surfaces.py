@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from eigenbounds.errors import ProfileError
+from eigenbounds.errors import ProfileError, SolverError
 from eigenbounds.surfaces import (
     CONVEX_K_FLOOR,
+    _diameter_once,
+    _moves,
     band_profile,
     capsule_profile,
     comparison_check,
@@ -61,7 +65,89 @@ class TestModeSolver:
             surface_eigen(sphere_profile(1.0), n=32)
 
 
+def _full_circle_diameter(profile, n_r):
+    """Diameter graph on every column of the circle, without the mirror fold."""
+    L = profile.length
+    h = L / n_r
+    poles = profile.closure == "two_poles"
+    radii = (np.arange(n_r) + 0.5) * h if poles else np.arange(n_r + 1) * h
+    n_rings = len(radii)
+    f_typical = float(np.max(np.asarray(profile.f(radii), dtype=float)))
+    n_t = 2 * int(np.clip(round(math.pi * f_typical / h), 4, 3 * n_r))
+    dtheta = 2.0 * math.pi / n_t
+    n_nodes = n_rings * n_t + (2 if poles else 0)
+
+    def node(i, j):
+        return i * n_t + (j % n_t)
+
+    rows, cols, wts = [], [], []
+    all_j = np.arange(n_t)
+    for a, b in _moves():
+        if a >= n_rings:
+            continue
+        i0 = np.arange(n_rings - a)
+        samples = radii[i0][:, None] + np.linspace(0.0, a * h, 2 * a + 1)[None, :]
+        fmax = np.max(np.asarray(profile.f(samples), dtype=float), axis=1)
+        w = np.sqrt((a * h) ** 2 + (fmax * abs(b) * dtheta) ** 2)
+        rows.append((i0[:, None] * n_t + all_j[None, :]).ravel())
+        cols.append(((i0[:, None] + a) * n_t + (all_j[None, :] + b) % n_t).ravel())
+        wts.append(np.repeat(w, n_t))
+    if poles:
+        p0, pL = n_rings * n_t, n_rings * n_t + 1
+        rows.append(np.full(n_t, p0))
+        cols.append(node(0, 0) + all_j)
+        wts.append(np.full(n_t, 0.5 * h))
+        rows.append(np.full(n_t, pL))
+        cols.append(node(n_rings - 1, 0) + all_j)
+        wts.append(np.full(n_t, 0.5 * h))
+    graph = csr_matrix(
+        (np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_nodes, n_nodes),
+    )
+    sources = [node(i, 0) for i in range(0, n_rings, 2)]
+    sources.append(node(n_rings - 1, 0))
+    if poles:
+        sources += [p0, pL]
+    dist = dijkstra(graph, directed=False, indices=sources)
+    if not np.all(np.isfinite(dist)):
+        raise SolverError("diameter graph came out disconnected")
+    return float(np.max(dist)), n_t, len(sources)
+
+
+_FOLD_RNG = np.random.default_rng(715)
+FOLD_PROFILES = [
+    (sphere_profile(1.0), 48),
+    (sphere_profile(1.0), 96),
+    (band_profile(0.4, 2.0), 48),
+    (capsule_profile(0.02), 48),
+    (spindle_profile(0.3), 48),
+] + [(random_convex_profile(_FOLD_RNG), 48) for _ in range(3)]
+
+
 class TestDiameter:
+    @pytest.mark.parametrize(
+        "profile, n_r", FOLD_PROFILES, ids=[f"{p.name} n_r={n}" for p, n in FOLD_PROFILES]
+    )
+    def test_mirror_fold_matches_full_circle(self, profile, n_r):
+        # theta -> -theta fixes every source, so the half-circle graph must
+        # give the full circle's distances bit for bit
+        value, n_t, nodes, sources = _diameter_once(profile, n_r)
+        ref_value, ref_n_t, ref_sources = _full_circle_diameter(profile, n_r)
+        assert (value, n_t, sources) == (ref_value, ref_n_t, ref_sources)
+        poles = profile.closure == "two_poles"
+        n_rings = n_r if poles else n_r + 1
+        assert nodes == n_rings * (n_t // 2 + 1) + (2 if poles else 0)
+
+    def test_capsule_floor_has_fewest_columns(self):
+        # n_t = 8 is the floor: the fold column n_t/2 = 4 sits within the
+        # stencil's angular reach |b| <= 3 of column 0
+        assert _diameter_once(capsule_profile(0.02), 48)[1] == 8
+
+    def test_estimate_reports_graph_size(self):
+        est = surface_diameter_upper(sphere_profile(1.0))
+        assert est.nodes == est.n_r * (est.n_theta // 2 + 1) + 2
+        assert est.sources == len(range(0, est.n_r, 2)) + 3
+
     def test_sphere_diameter_overestimates_antipodal(self):
         for a in (0.5, 2.0):
             est = surface_diameter_upper(sphere_profile(a))
@@ -157,4 +243,5 @@ class TestComparison:
         rep = comparison_check(capsule_profile(0.2))
         blob = json.loads(json.dumps(rep.to_dict()))
         assert blob["ok"] is True
+        assert blob["diameter_nodes"] > 0 and blob["diameter_sources"] > 0
         assert blob["kappa1"] == 0.0
