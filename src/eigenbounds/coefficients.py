@@ -164,9 +164,10 @@ def big_c(kappa: float, lam: float, t):
     Closed form c_kappa(t) - lam * s_kappa(t).  For kappa < 0 and
     lam <= root = sqrt(-kappa) the profile has no zero, but with lam near
     root it nears exp(-x), x = root t, while cosh(x) and lam s_kappa(t)
-    grow and cancel.  Where their difference is below 1.5e-8 cosh(x), half
-    its digits are lost, so it is recomputed as the sum of nonnegative
-    terms exp(-x) + (1 - lam/root) sinh(x).
+    grow and cancel.  Where their difference is below cosh(x)/2, more than
+    one bit is lost, so it is recomputed as the sum of nonnegative terms
+    exp(-x) + ((root - lam)/root) sinh(x); root - lam is exact there
+    (Sterbenz, as lam > root/2).
     """
 
     def f(arr):
@@ -174,8 +175,8 @@ def big_c(kappa: float, lam: float, t):
         if kappa < 0 and lam <= math.sqrt(-kappa):
             root = math.sqrt(-kappa)
             x = root * arr
-            tail = np.exp(-x) + (1.0 - lam / root) * np.sinh(x)
-            out = np.where(out < 1.5e-8 * np.cosh(x), tail, out)
+            tail = np.exp(-x) + ((root - lam) / root) * np.sinh(x)
+            out = np.where(out < 0.5 * np.cosh(x), tail, out)
         return out
 
     return _eval(t, f)
@@ -185,7 +186,7 @@ def big_c_prime(kappa: float, lam: float, t):
     """Exact derivative of big_c: -kappa*s_kappa(t) - lam*c_kappa(t).
 
     Cancels like big_c for kappa < 0 with lam near root = sqrt(-kappa);
-    where the closed form is below 1.5e-8 lam cosh(x), x = root t, it is
+    where the closed form is below lam cosh(x)/2, x = root t, it is
     recomputed as -root exp(-x) + (root - lam) cosh(x), whose terms are
     no larger than lam cosh(x) for root/2 <= lam <= root.
     """
@@ -196,7 +197,7 @@ def big_c_prime(kappa: float, lam: float, t):
             root = math.sqrt(-kappa)
             x = root * arr
             tail = -root * np.exp(-x) + (root - lam) * np.cosh(x)
-            out = np.where(np.abs(out) < 1.5e-8 * lam * np.cosh(x), tail, out)
+            out = np.where(np.abs(out) < 0.5 * lam * np.cosh(x), tail, out)
         return out
 
     return _eval(t, f)

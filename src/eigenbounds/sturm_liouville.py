@@ -3,9 +3,12 @@
 Two independent routes to the same eigenvalues:
 
   * solve_shooting: integrates the self-adjoint first-order system
-    phi' = u/w, u' = -lam*w*phi from the left end, brackets the sign
-    change of the Neumann shooting function S(lam) = u(ell; lam) by a
-    walk in lam and finds its root with brentq.
+    phi' = u/w, u' = -lam*w*phi from the left end by classical RK4,
+    brackets the sign change of the Neumann shooting function
+    S(lam) = u(ell; lam) by a walk in lam and finds its root with brentq.
+    The system is linear, so a sweep is one banded triangular LAPACK
+    solve for all node states; S(lam) = -w(0) when any node has
+    phi < 0 < u.
   * solve_fd: finite-difference discretization of (w phi')' = -lam*w*phi,
     reduced to a symmetric tridiagonal pencil and solved by LAPACK
     Sturm-sequence bisection, with Richardson extrapolation over n and 2n.
@@ -27,6 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure, ZeroDenominator
@@ -75,7 +79,8 @@ class SLProblem:
 
 @dataclass
 class EigenResult:
-    """A computed eigenpair with its provenance."""
+    """A computed eigenpair with its provenance.  `sweeps` counts the
+    S(lam) evaluations of the bracket walk and brentq (0 for FD)."""
 
     value: float
     method: str
@@ -83,6 +88,7 @@ class EigenResult:
     grid_size: int
     ts: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
+    sweeps: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,90 +129,131 @@ def _weight_tables(problem: SLProblem, ts: np.ndarray):
     return w_nodes, w_mids
 
 
-def _shoot(steps, lam, want_path=False):
-    """Classical RK4 sweep of the shooting system.
+def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
+    """Band of the node recurrence of classical RK4, as B0, B1, B2 with
+    band(lam) = B0 + lam*(B1 + lam*B2).
 
-    y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `steps` holds
-    (h, w(t), w(t + h/2), w(t + h)) for each cell as plain Python floats.
-    Returns the Neumann shooting value S(lam) = u(ell), or -w(0) as soon as
-    a node has phi < 0 < u, so S(lam) > 0 exactly when lam lies below the
-    first eigenvalue.  With want_path the sweep runs to the end and returns
-    the phi samples at the nodes instead.
+    The shooting system is linear, so one RK4 step maps (phi, u) at t to
+    (a phi + b u, c phi + d u) at t + h, with a, b, c, d quadratic in lam
+    (the four stages written out; w0, wm, w1 = w at t, t + h/2, t + h):
+
+        a = 1 - lam h^2/6 (w0/wm + 1 + wm/w1) + lam^2 h^4 w0/(24 w1)
+        b = h/6 (1/w0 + 4/wm + 1/w1) - lam h^3/12 (1/w0 + 1/w1)
+        c = -lam h/6 (w0 + 4 wm + w1) + lam^2 h^3/12 (w0 + w1)
+        d = 1 - lam h^2/6 (wm/w0 + 1 + w1/wm) + lam^2 h^4 w1/(24 w0)
+
+    The node states (phi_0, u_0, phi_1, u_1, ...) then solve a unit lower
+    triangular system with 3 subdiagonals, stored in LAPACK's lower band
+    layout (row i holds the i-th subdiagonal) and in Fortran order, so
+    dtbtrs takes it without a copy.  Row 0, the unit diagonal, is never read.
+    A weight whose reciprocal or ratios overflow is a StabilityFailure, as
+    the sweep through it would overflow.
     """
-    neg = -lam  # exact; -lam * w * phi already parses as (-lam) * w * phi
-    phi = 0.0
-    slope = steps[0][1]
-    path = [phi] if want_path else None
-    for h, w0, wm, w1 in steps:
-        k1p = slope / w0
-        k1s = neg * w0 * phi
-        p2 = phi + 0.5 * h * k1p
-        s2 = slope + 0.5 * h * k1s
-        k2p = s2 / wm
-        k2s = neg * wm * p2
-        p3 = phi + 0.5 * h * k2p
-        s3 = slope + 0.5 * h * k2s
-        k3p = s3 / wm
-        k3s = neg * wm * p3
-        p4 = phi + h * k3p
-        s4 = slope + h * k3s
-        k4p = s4 / w1
-        k4s = neg * w1 * p4
-        phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        slope = slope + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        if want_path:
-            path.append(phi)
-        elif phi < 0.0 < slope:
-            # u falls while phi > 0 and phi turns only after u has, so
-            # phi < 0 < u puts the Pruefer angle past 3pi/2: lam is past
-            # the first eigenvalue
-            return -steps[0][1]
-    if not (math.isfinite(phi) and math.isfinite(slope)):
+    h = np.diff(ts)
+    h2 = h * h
+    w0, wm, w1 = w_nodes[:-1], w_mids, w_nodes[1:]
+    bands = np.zeros((4, 2 * len(ts), 3), order="F")
+    # columns of phi_k and u_k for k < n; the last node couples to nothing
+    phi_col, u_col = slice(0, -2, 2), slice(1, -2, 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bands[2, phi_col, 0] = -1.0
+        bands[2, phi_col, 1] = h2 / 6.0 * (w0 / wm + 1.0 + wm / w1)
+        bands[2, phi_col, 2] = -h2 * h2 * w0 / (24.0 * w1)
+        bands[3, phi_col, 1] = h / 6.0 * (w0 + 4.0 * wm + w1)
+        bands[3, phi_col, 2] = -h * h2 / 12.0 * (w0 + w1)
+        bands[1, u_col, 0] = -h / 6.0 * (1.0 / w0 + 4.0 / wm + 1.0 / w1)
+        bands[1, u_col, 1] = h * h2 / 12.0 * (1.0 / w0 + 1.0 / w1)
+        bands[2, u_col, 0] = -1.0
+        bands[2, u_col, 1] = h2 / 6.0 * (wm / w0 + 1.0 + w1 / wm)
+        bands[2, u_col, 2] = -h2 * h2 * w1 / (24.0 * w0)
+    if not np.all(np.isfinite(bands)):
         raise StabilityFailure("shooting integration overflowed")
-    return np.array(path) if want_path else slope
+    return bands
+
+
+def _shoot(table, lam, want_path=False):
+    """Classical RK4 sweep of the shooting system, as one banded solve.
+
+    y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `table` is
+    (bands, rhs) from _Shooter.mesh: the band of _step_bands and the right
+    side (phi_0, u_0) = (0, w(0)) with zeros after it.  Forward substitution
+    in dtbtrs is the RK4 recurrence.  Returns the Neumann shooting value
+    S(lam) = u(ell), or -w(0) when any node has phi < 0 < u, so S(lam) > 0
+    exactly when lam lies below the first eigenvalue.  With want_path it
+    returns the phi samples at the nodes instead.
+    """
+    bands, rhs = table
+    # B0 + lam*(B1 + lam*B2), formed in place
+    band = bands[..., 2] * lam
+    band += bands[..., 1]
+    band *= lam
+    band += bands[..., 0]
+    states, info = dtbtrs(band, rhs, uplo="L", diag="U")
+    if info != 0:
+        raise SolverError(f"banded shooting solve failed: LAPACK info = {info}")
+    phi, u = states[0::2], states[1::2]
+    # u falls while phi > 0 and phi turns only after u has, so phi < 0 < u
+    # puts the Pruefer angle past 3pi/2: lam is past the first eigenvalue
+    if not want_path and np.any((phi < 0.0) & (u > 0.0)):
+        return -float(rhs[1])
+    if not (math.isfinite(phi[-1]) and math.isfinite(u[-1])):
+        raise StabilityFailure("shooting integration overflowed")
+    return phi.copy() if want_path else float(u[-1])
+
+
+def _sweep(lam, table, svals):
+    """S(lam) for brentq, kept in svals.  The table comes in through brentq's
+    args: a closure over it would sit in the reference cycle of brentq's
+    function wrapper and keep the table alive until a cyclic collection."""
+    svals[lam] = _shoot(table, lam)
+    return svals[lam]
 
 
 class _Shooter:
-    """Caches one mesh and step table per resolution for repeated S(lam) sweeps."""
+    """Caches one mesh and band table per resolution for repeated S(lam) sweeps."""
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
         self._cache = {}
 
     def mesh(self, lam):
-        """Nodes and step table resolving the phase of lam: 60 steps per
-        radian, at least 4,000."""
+        """Nodes and (bands, rhs) table resolving the phase of lam: 60 steps
+        per radian, at least 4,000."""
         phase = math.sqrt(max(lam, 0.0)) * self.problem.length
         n_uniform = max(4000, int(60.0 * phase))
         if n_uniform not in self._cache:
             ts = _build_mesh(self.problem.length, n_uniform, self.problem.layer)
             w_nodes, w_mids = _weight_tables(self.problem, ts)
-            columns = (np.diff(ts), w_nodes[:-1], w_mids, w_nodes[1:])
-            steps = list(zip(*(c.tolist() for c in columns)))
-            self._cache[n_uniform] = (ts, steps)
+            rhs = np.zeros(2 * len(ts))
+            rhs[1] = w_nodes[0]
+            self._cache[n_uniform] = (ts, (_step_bands(ts, w_nodes, w_mids), rhs))
         return self._cache[n_uniform]
 
 
 def _bracket(shooter: _Shooter, ell: float):
     """Walk by factors of 4 from pi^2/(4 ell^2) to a sign change of S,
-    inside the documented range; returns (lo, hi) with S(lo) > 0 >= S(hi)."""
+    inside the documented range; returns (lo, hi, sweeps) with
+    S(lo) > 0 >= S(hi) and sweeps the number of S(lam) evaluations."""
     lam_lo = SCAN_FLOOR_FACTOR * math.pi**2 / (4.0 * ell * ell)
     lam_hi = SCAN_CEIL_FACTOR / (ell * ell)
     lam = math.pi**2 / (4.0 * ell * ell)
+    sweeps = 0
 
     def below(lam):
+        nonlocal sweeps
+        sweeps += 1
         return _shoot(shooter.mesh(lam)[1], lam) > 0.0
 
     if below(lam):
         while lam < lam_hi:
             lo, lam = lam, min(4.0 * lam, lam_hi)
             if not below(lam):
-                return lo, lam
+                return lo, lam, sweeps
         raise NoBracketFound(f"no sign change of the shooting function up to lambda = {lam_hi}")
     while lam > lam_lo:
         hi, lam = lam, max(0.25 * lam, lam_lo)
         if below(lam):
-            return lam, hi
+            return lam, hi, sweeps
     raise NoBracketFound(
         "shooting function not positive at the scan floor; "
         "first eigenvalue below the documented scan range"
@@ -226,21 +273,21 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10, want_phi: bool = True
     if not tol > 0:
         raise DomainError("tol must be positive")
     shooter = _Shooter(problem)
-    lo, hi = _bracket(shooter, problem.length)
-    ts, steps = shooter.mesh(hi)
+    lo, hi, sweeps = _bracket(shooter, problem.length)
+    ts, table = shooter.mesh(hi)
     # brentq returns a point it has evaluated: keep each S(lam) for the residual
     svals = {}
-    lam = brentq(
-        lambda x: svals.setdefault(x, _shoot(steps, x)), lo, hi, xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL
+    lam, root = brentq(
+        _sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL, full_output=True
     )
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
-    resid = abs(svals[lam]) / steps[0][1]
+    resid = abs(svals[lam]) / float(table[1][1])
     if not resid <= tol:
         raise SolverError(f"shooting residual {resid:.3g} misses tol = {tol} at lambda = {lam}")
-    phi = _shoot(steps, lam, want_path=True) if want_phi else None
+    phi = _shoot(table, lam, want_path=True) if want_phi else None
     return EigenResult(
-        value=lam, method="shooting", residual=resid, grid_size=len(steps),
-        ts=ts if want_phi else None, phi=phi,
+        value=lam, method="shooting", residual=resid, grid_size=len(ts) - 1,
+        ts=ts if want_phi else None, phi=phi, sweeps=sweeps + root.function_calls,
     )
 
 

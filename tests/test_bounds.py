@@ -93,6 +93,28 @@ class TestShootingWork:
         kahler_neumann_bound(params, D)
         assert sum(lams) <= most
 
+    @pytest.mark.parametrize(
+        "params, D, sweeps",
+        [(CurvatureParams(m=2, kappa1=0.25), 2.0, 11), (CurvatureParams(m=4, kappa1=0.0), 2.0, 5)],
+        ids=["regular", "flat"],
+    )
+    def test_sweeps_counts_shooting_evaluations(self, monkeypatch, params, D, sweeps):
+        # EigenResult.sweeps is the bracket walk's and brentq's S(lam) count;
+        # the eigenfunction pass is not one of them
+        problem = kahler_neumann_bound(params, D).problem
+        inner = sturm_liouville._shoot
+        calls = []
+
+        def counted(table, lam, *args, **kwargs):
+            calls.append(lam)
+            return inner(table, lam, *args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "_shoot", counted)
+        r = sturm_liouville.solve_shooting(problem, want_phi=False)
+        assert r.sweeps == len(calls) == sweeps
+        assert sturm_liouville.solve_shooting(problem).sweeps == sweeps
+        assert sturm_liouville.solve_fd(problem).sweeps == 0
+
 
 class TestIdentities:
     def test_dirichlet_lambda_zero_matches_neumann_double(self):

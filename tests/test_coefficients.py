@@ -200,9 +200,15 @@ def test_big_c_prime_no_cancellation_at_critical_lam():
 def test_t_kappa_lambda_no_cancellation_at_critical_lam():
     # the drift -big_c'/big_c of exp(-3t) is exactly 3 for every t
     assert t_kappa_lambda(-9.0, 3.0, 12.0) == pytest.approx(3.0, rel=1e-12)
-    # below the 1.5e-8 switch the closed forms keep at least half their digits
     ts = np.linspace(0.0, 20.0, 201)
-    np.testing.assert_allclose(t_kappa_lambda(-9.0, 3.0, ts), 3.0, rtol=1e-7)
+    np.testing.assert_allclose(t_kappa_lambda(-9.0, 3.0, ts), 3.0, rtol=1e-13)
+
+
+def test_critical_lam_keeps_digits_before_switch():
+    # at x = 3t near 9.3 the closed forms cosh - sinh had cancelled to half
+    # their digits without reaching the old 1.5e-8 switch
+    assert t_kappa_lambda(-9.0, 3.0, 3.1) == pytest.approx(3.0, rel=1e-13)
+    assert big_c(-9.0, 3.0, 3.08) == pytest.approx(math.exp(-9.24), rel=1e-14)
 
 
 @given(kappas, fractions)

@@ -1,15 +1,25 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from eigenbounds import sturm_liouville
 from eigenbounds.coefficients import CurvatureParams, weight_kahler
-from eigenbounds.errors import DomainError, NoBracketFound, SolverError, ZeroDenominator
+from eigenbounds.errors import (
+    DomainError,
+    NoBracketFound,
+    SolverError,
+    StabilityFailure,
+    ZeroDenominator,
+)
 from eigenbounds.sturm_liouville import (
     EigenResult,
     SLProblem,
     _shoot,
     _Shooter,
+    _weight_tables,
     eigen_limit,
     neumann_first_nonzero_direct,
     rayleigh_quotient,
@@ -30,6 +40,46 @@ FLAT = SLProblem(length=1.0, weight=flat)
 KAHLER_K1 = CurvatureParams(m=2, kappa1=1.0)
 # graded mesh: the interval ends just short of the weight's zero at pi/4
 NEAR_CAP = SLProblem(0.75, lambda t: weight_kahler(KAHLER_K1, t), layer=math.pi / 4 - 0.75)
+# the finest truncation of the kappa1-sharp bound, h = 0.04/32 short of pi/4
+SHARP_H = 0.04 / 32
+SHARP_TRUNCATED = SLProblem(
+    math.pi / 4 * (1 - SHARP_H), lambda t: np.cos(2 * np.asarray(t, float)), layer=math.pi / 4 * SHARP_H
+)
+# kappa < 0: the weight cosh(2t) cosh(t)^4 grows 21-fold along the interval
+GROWING = SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=3, kappa1=-1.0, kappa2=-1.0), t))
+
+
+def rk4_reference(problem, ts, lam, want_path=False):
+    """The float RK4 loop that the banded kernel replaced, as its reference:
+    one Python step per cell, stopping at the first node with phi < 0 < u."""
+    w_nodes, w_mids = _weight_tables(problem, ts)
+    columns = (np.diff(ts), w_nodes[:-1], w_mids, w_nodes[1:])
+    steps = list(zip(*(c.tolist() for c in columns)))
+    neg = -lam
+    phi = 0.0
+    slope = steps[0][1]
+    path = [phi]
+    for h, w0, wm, w1 in steps:
+        k1p = slope / w0
+        k1s = neg * w0 * phi
+        p2 = phi + 0.5 * h * k1p
+        s2 = slope + 0.5 * h * k1s
+        k2p = s2 / wm
+        k2s = neg * wm * p2
+        p3 = phi + 0.5 * h * k2p
+        s3 = slope + 0.5 * h * k2s
+        k3p = s3 / wm
+        k3s = neg * wm * p3
+        p4 = phi + h * k3p
+        s4 = slope + h * k3s
+        k4p = s4 / w1
+        k4s = neg * w1 * p4
+        phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        slope = slope + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        path.append(phi)
+        if not want_path and phi < 0.0 < slope:
+            return -steps[0][1]
+    return np.array(path) if want_path else slope
 
 
 # --- shooting ---------------------------------------------------------------
@@ -63,19 +113,67 @@ def test_shooting_monotone_eigenfunction():
 @pytest.mark.parametrize("problem", [FLAT, NEAR_CAP], ids=["flat", "near_cap"])
 def test_shooting_sign_marks_first_eigenvalue(problem):
     # S(lam) > 0 exactly below the first eigenvalue, on the mesh the solver
-    # uses; every lam up to 40 lam1 shares that mesh
+    # uses; every lam up to 40 lam1 shares that mesh.  The float RK4 loop
+    # gives the same sign at every lam.
     r = solve_shooting(problem, want_phi=False)
-    _, steps = _Shooter(problem).mesh(40.0 * r.value)
-    assert len(steps) == r.grid_size
+    ts, table = _Shooter(problem).mesh(40.0 * r.value)
+    assert len(ts) - 1 == r.grid_size
     for lam in r.value * np.linspace(0.01, 1.0 - 1e-9, 100):
-        assert _shoot(steps, float(lam)) > 0.0
+        assert _shoot(table, float(lam)) > 0.0
+        assert rk4_reference(problem, ts, float(lam)) > 0.0
     above = r.value * np.linspace(1.0 + 1e-9, 40.0, 400)
     if problem is FLAT:
         # past the second eigenvalue the raw flux u(1) = cos(sqrt(30)) is positive
         assert math.cos(math.sqrt(30.0)) > 0.0
         above = np.append(above, 30.0)
     for lam in above:
-        assert _shoot(steps, float(lam)) <= 0.0
+        assert _shoot(table, float(lam)) <= 0.0
+        assert rk4_reference(problem, ts, float(lam)) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "problem", [SLProblem(1.0, cos_pow(2)), SHARP_TRUNCATED, GROWING],
+    ids=["uniform", "graded_sharp", "growing"],
+)
+def test_banded_kernel_matches_rk4_reference(problem):
+    # the banded solve is the RK4 recurrence: S(lam) and the eigenfunction
+    # agree with the float loop to rounding
+    r = solve_shooting(problem)
+    ts, table = _Shooter(problem).mesh(r.value)
+    if problem is SHARP_TRUNCATED:
+        assert np.ptp(np.diff(ts)) > 0.0
+    else:
+        assert np.allclose(np.diff(ts), ts[1], rtol=1e-12)
+    w0 = float(table[1][1])
+    for lam in r.value * np.geomspace(0.05, 30.0, 20):
+        kernel = _shoot(table, float(lam))
+        assert abs(kernel - rk4_reference(problem, ts, float(lam))) <= 1e-12 * w0, lam
+    reference = rk4_reference(problem, ts, r.value, want_path=True)
+    assert r.phi.shape == reference.shape
+    assert np.max(np.abs(r.phi - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_shooting_leaves_no_table_alive(monkeypatch):
+    # brentq wraps its callback in a function that refers to itself: a
+    # callback closing over a mesh table would keep the table alive until
+    # a cyclic collection, one table per solve
+    inner = sturm_liouville._shoot
+    refs = []
+
+    def tracked(table, lam, *args, **kwargs):
+        refs.append(weakref.ref(table[0]))
+        return inner(table, lam, *args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "_shoot", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_shooting(NEAR_CAP)
+        solve_shooting(FLAT, want_phi=False)
+        alive = sum(ref() is not None for ref in refs)
+    finally:
+        gc.enable()
+    assert refs and alive == 0
 
 
 def test_shooting_grid_size_ignores_want_phi():
@@ -124,6 +222,14 @@ def test_overflowing_weight_is_solver_error():
     # exp(800 t) overflows near t = 0.89: a solver failure, not a numpy warning
     w = lambda t: np.exp(800.0 * np.asarray(t, float))
     with pytest.raises(SolverError):
+        solve_shooting(SLProblem(1.0, w))
+
+
+def test_subnormal_weight_is_stability_failure():
+    # exp(-740) is subnormal, so 1/w overflows in the RK4 step coefficients:
+    # the sweep would overflow, and that is reported, not a numpy warning
+    w = lambda t: np.exp(-740.0 * np.asarray(t, float))
+    with pytest.raises(StabilityFailure):
         solve_shooting(SLProblem(1.0, w))
 
 
