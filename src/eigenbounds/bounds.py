@@ -138,7 +138,7 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     if sharp:
         def solve_at(h):
             prob = SLProblem(length=ell * (1.0 - h), weight=weight_fn, layer=ell * h, name=name)
-            return solve_shooting(prob, tol=tol, want_phi=False).value
+            return solve_shooting(prob, tol=tol).value
 
         shoot_val, limit_error, _ = eigen_limit(solve_at, LIMIT_STEPS, order=order)
         shoot_resid = limit_error
@@ -146,7 +146,7 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     else:
         layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
         problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name)
-        shoot = solve_shooting(problem, tol=tol, want_phi=False)
+        shoot = solve_shooting(problem, tol=tol)
         shoot_val, shoot_resid = shoot.value, shoot.residual
     fd = solve_fd(problem, n=n)
     agreement = abs(shoot_val - fd.value) / max(abs(shoot_val), abs(fd.value))

@@ -9,22 +9,25 @@ Two independent routes to the same eigenvalues:
     The system is linear, so a sweep is one banded triangular LAPACK
     solve for all node states; S(lam) = -w(0) when any node has
     phi < 0 < u.
-  * solve_fd: finite-difference discretization of (w phi')' = -lam*w*phi,
-    reduced to a symmetric tridiagonal pencil and solved by LAPACK
-    Sturm-sequence bisection, with Richardson extrapolation over n and 2n.
+  * solve_fd: node-based finite differences for (w phi')' = -lam*w*phi,
+    with face weights at the cell midpoints and half-cell end masses,
+    reduced to a symmetric tridiagonal pencil whose eigenvalues LAPACK
+    finds by Sturm-sequence bisection, with Richardson extrapolation
+    over n and 2n cells.
 
-Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval.
-neumann_first_nonzero_direct solves the full-interval Neumann problem
-without using any symmetry, so the half-interval reduction can be
-validated against it.  eigen_limit extrapolates eigenvalues of problems
-whose weight vanishes at the right endpoint (boundary-sharp cases) from a
-sequence of truncated regular problems.
+Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
+return eigenvalues only.  neumann_first_nonzero_direct solves the
+full-interval Neumann problem without using any symmetry, so the
+half-interval reduction can be validated against it; _fd_values builds
+the pencils of both FD solvers.  eigen_limit extrapolates eigenvalues of
+problems whose weight vanishes at the right endpoint (boundary-sharp
+cases) from a sequence of truncated regular problems.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -79,15 +82,13 @@ class SLProblem:
 
 @dataclass
 class EigenResult:
-    """A computed eigenpair with its provenance.  `sweeps` counts the
+    """A computed eigenvalue with its provenance.  `sweeps` counts the
     S(lam) evaluations of the bracket walk and brentq (0 for FD)."""
 
     value: float
     method: str
     residual: float
     grid_size: int
-    ts: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
     sweeps: int = 0
 
 
@@ -171,7 +172,7 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
     return bands
 
 
-def _shoot(table, lam, want_path=False):
+def _shoot(table, lam):
     """Classical RK4 sweep of the shooting system, as one banded solve.
 
     y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `table` is
@@ -179,8 +180,7 @@ def _shoot(table, lam, want_path=False):
     side (phi_0, u_0) = (0, w(0)) with zeros after it.  Forward substitution
     in dtbtrs is the RK4 recurrence.  Returns the Neumann shooting value
     S(lam) = u(ell), or -w(0) when any node has phi < 0 < u, so S(lam) > 0
-    exactly when lam lies below the first eigenvalue.  With want_path it
-    returns the phi samples at the nodes instead.
+    exactly when lam lies below the first eigenvalue.
     """
     bands, rhs = table
     # B0 + lam*(B1 + lam*B2), formed in place
@@ -194,11 +194,11 @@ def _shoot(table, lam, want_path=False):
     phi, u = states[0::2], states[1::2]
     # u falls while phi > 0 and phi turns only after u has, so phi < 0 < u
     # puts the Pruefer angle past 3pi/2: lam is past the first eigenvalue
-    if not want_path and np.any((phi < 0.0) & (u > 0.0)):
+    if np.any((phi < 0.0) & (u > 0.0)):
         return -float(rhs[1])
     if not (math.isfinite(phi[-1]) and math.isfinite(u[-1])):
         raise StabilityFailure("shooting integration overflowed")
-    return phi.copy() if want_path else float(u[-1])
+    return float(u[-1])
 
 
 def _sweep(lam, table, svals):
@@ -260,15 +260,14 @@ def _bracket(shooter: _Shooter, ell: float):
     )
 
 
-def solve_shooting(problem: SLProblem, tol: float = 1e-10, want_phi: bool = True) -> EigenResult:
+def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
     """First eigenvalue of the mixed problem by shooting.
 
     Integrates from phi(0) = 0 with unit initial slope.  A walk by factors
     of 4 brackets the sign change of S(lam) (see _shoot), and brentq finds
     the root on the mesh of the bracket's upper end.  `tol` bounds the
     normalized residual |S(lam)/S(0)| at that root; a root that misses it
-    is a SolverError.  Eigenfunction is reported with phi'(0) = 1; callers
-    that only need the eigenvalue pass want_phi=False to skip that pass.
+    is a SolverError.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -284,10 +283,9 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10, want_phi: bool = True
     resid = abs(svals[lam]) / float(table[1][1])
     if not resid <= tol:
         raise SolverError(f"shooting residual {resid:.3g} misses tol = {tol} at lambda = {lam}")
-    phi = _shoot(table, lam, want_path=True) if want_phi else None
     return EigenResult(
         value=lam, method="shooting", residual=resid, grid_size=len(ts) - 1,
-        ts=ts if want_phi else None, phi=phi, sweeps=sweeps + root.function_calls,
+        sweeps=sweeps + root.function_calls,
     )
 
 
@@ -295,74 +293,65 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10, want_phi: bool = True
 # finite differences
 
 
-def _fd_mixed_pencil(weight, ell, n):
-    """Stiffness/mass diagonals for phi(0)=0, phi'(ell)=0 on n cells.
+def _fd_values(weight, lo, hi, n, dirichlet, indices):
+    """Eigenvalues `indices` of the FD pencil of (w phi')' = -lam*w*phi on
+    [lo, hi], at n and at 2n cells, as (lam_n, lam_2n).
 
-    Centered second-order scheme: interior rows are the standard
-    three-point flux form; the Neumann end row is the ghost-point
-    elimination, which involves only the flux at the last interior face
-    and a half mass cell.  The half cell's mass uses the weight at its
-    midpoint ell - h/4, so a weight that vanishes exactly at ell (the
-    boundary-sharp rows) stays admissible; the interior of the domain is
-    never sampled at the endpoint.  Unknowns are the nodes 1..n.
-    """
-    h = ell / n
-    nodes = np.linspace(0.0, ell, n + 1)
-    faces = 0.5 * (nodes[:-1] + nodes[1:])
-    w_mass = np.asarray(weight(nodes[1:-1]), dtype=float)
-    w_faces = np.asarray(weight(faces), dtype=float)
-    w_last = float(weight(ell - 0.25 * h))
-    if np.any(w_mass <= 0) or np.any(w_faces <= 0) or w_last <= 0:
-        raise DomainError("weight not positive on (0, ell)")
-    diag = np.empty(n)
-    diag[:-1] = w_faces[:-1] + w_faces[1:]
-    diag[-1] = w_faces[-1]
-    off = -w_faces[1:]
-    mass = h * h * np.concatenate([w_mass, [0.5 * w_last]])
-    return diag, off, mass, nodes
-
-
-def _fd_eigh(diag, off, mass, indices):
-    # masses of a weight that underflows near a vanishing endpoint make
-    # d or e infinite; that is a solver failure, not a numpy warning
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = diag / mass
-        e = off / np.sqrt(mass[:-1] * mass[1:])
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise SolverError("finite-difference pencil not finite: the weight underflows on the grid")
-    vals, vecs = eigh_tridiagonal(d, e, select="i", select_range=indices)
-    return vals, vecs / np.sqrt(mass)[:, None]
-
-
-def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
-    """First eigenvalue of the mixed problem by finite differences.
-
-    Solves the symmetric tridiagonal pencil at n and 2n cells via
-    Sturm-sequence bisection and reports the Richardson-extrapolated
-    eigenvalue (4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3.
-    Eigenfunction (from the 2n grid) is max-norm normalized.
+    Node-based centered scheme: face weights sit at the cell midpoints,
+    and a Neumann end row is the ghost-point elimination, with only its
+    inner face flux and a half-cell mass.  That mass uses the weight at
+    the half cell's midpoint (hi - h/4, and lo + h/4 for a Neumann left
+    end), so a weight that vanishes exactly at an end stays admissible.
+    With `dirichlet`, phi(lo) = 0 and the node lo is dropped.  The
+    symmetrized pencil goes to LAPACK Sturm-sequence bisection.
     """
     if n < 16:
         raise DomainError("n must be at least 16")
     if n > MAX_FD_CELLS:
         raise DomainError(f"n must be at most {MAX_FD_CELLS}")
-    lam_n, _ = _fd_eigh(*_fd_mixed_pencil(problem.weight, problem.length, n)[:3], (0, 0))
-    diag, off, mass, nodes = _fd_mixed_pencil(problem.weight, problem.length, 2 * n)
-    lam_2n, vecs = _fd_eigh(diag, off, mass, (0, 0))
-    lam = (4.0 * lam_2n[0] - lam_n[0]) / 3.0
-    err = abs(lam_n[0] - lam_2n[0]) / 3.0
-    phi = np.concatenate([[0.0], vecs[:, 0]])
-    phi = phi / np.abs(phi).max()
-    if phi[np.argmax(np.abs(phi))] < 0:
-        phi = -phi
+    out = []
+    for cells in (n, 2 * n):
+        h = (hi - lo) / cells
+        nodes = np.linspace(lo, hi, cells + 1)
+        faces = 0.5 * (nodes[:-1] + nodes[1:])
+        w_inner = np.asarray(weight(nodes[1:-1]), dtype=float)
+        w_faces = np.asarray(weight(faces), dtype=float)
+        w_lo = [] if dirichlet else [float(weight(lo + 0.25 * h))]
+        w_hi = float(weight(hi - 0.25 * h))
+        if np.any(w_inner <= 0) or np.any(w_faces <= 0) or min(w_lo + [w_hi]) <= 0:
+            raise DomainError("weight not positive on (0, ell)")
+        # no flux through the ends: a = [0, w_faces, 0]
+        a = np.concatenate([[0.0], w_faces, [0.0]])
+        diag, off = a[:-1] + a[1:], -a[1:-1]
+        if dirichlet:
+            diag, off = diag[1:], off[1:]
+        mass = h * h * np.concatenate([0.5 * np.array(w_lo), w_inner, [0.5 * w_hi]])
+        # masses of a weight that underflows near a vanishing endpoint make
+        # d or e infinite; that is a solver failure, not a numpy warning
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d = diag / mass
+            e = off / np.sqrt(mass[:-1] * mass[1:])
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+            raise SolverError("finite-difference pencil not finite: the weight underflows on the grid")
+        out.append(eigh_tridiagonal(d, e, select="i", select_range=indices, eigvals_only=True))
+    return out
+
+
+def _richardson(lam_n, lam_2n, n):
+    """(4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3."""
     return EigenResult(
-        value=float(lam),
+        value=float((4.0 * lam_2n - lam_n) / 3.0),
         method="finite_difference",
-        residual=float(err),
+        residual=float(abs(lam_n - lam_2n) / 3.0),
         grid_size=2 * n,
-        ts=nodes,
-        phi=phi,
     )
+
+
+def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
+    """First eigenvalue of the mixed problem by finite differences at n
+    and 2n cells, Richardson-extrapolated."""
+    lam_n, lam_2n = _fd_values(problem.weight, 0.0, problem.length, n, True, (0, 0))
+    return _richardson(lam_n[0], lam_2n[0], n)
 
 
 def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> EigenResult:
@@ -371,58 +360,19 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
     Full-interval discretization with Neumann ghost rows at both ends; no
     symmetry of the weight is used, so this is an independent check of the
     half-interval reduction.  The weight must be even and positive;
-    evenness is verified on the grid.  Richardson over n and 2n as in
+    evenness is verified on the 2n grid.  Richardson over n and 2n as in
     solve_fd.
     """
     ell = half_length
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError("half_length must be positive and finite")
-    if n < 16:
-        raise DomainError("n must be at least 16")
-    if n > MAX_FD_CELLS:
-        raise DomainError(f"n must be at most {MAX_FD_CELLS}")
-
-    def pencil(cells):
-        h = 2.0 * ell / cells
-        nodes = np.linspace(-ell, ell, cells + 1)
-        faces = 0.5 * (nodes[:-1] + nodes[1:])
-        w_inner = np.asarray(weight(nodes[1:-1]), dtype=float)
-        w_faces = np.asarray(weight(faces), dtype=float)
-        # half-cell masses from the cell midpoints, as in the mixed pencil
-        w_lo = float(weight(-ell + 0.25 * h))
-        w_hi = float(weight(ell - 0.25 * h))
-        if np.any(w_inner <= 0) or np.any(w_faces <= 0) or w_lo <= 0 or w_hi <= 0:
-            raise DomainError("weight not positive on the interval")
-        asym = np.abs(w_inner - w_inner[::-1]).max() / w_inner.max()
-        if asym > 1e-8:
-            raise DomainError("weight is not even on the interval")
-        diag = np.empty(cells + 1)
-        diag[0] = w_faces[0]
-        diag[1:-1] = w_faces[:-1] + w_faces[1:]
-        diag[-1] = w_faces[-1]
-        off = -w_faces
-        mass = h * h * np.concatenate([[0.5 * w_lo], w_inner, [0.5 * w_hi]])
-        return diag, off, mass, nodes
-
-    lam_n, _ = _fd_eigh(*pencil(n)[:3], (0, 1))
-    diag, off, mass, nodes = pencil(2 * n)
-    lam_2n, vecs = _fd_eigh(diag, off, mass, (0, 1))
+    lam_n, lam_2n = _fd_values(weight, -ell, ell, n, False, (0, 1))
+    w = np.asarray(weight(np.linspace(-ell, ell, 2 * n + 1)[1:-1]), dtype=float)
+    if np.abs(w - w[::-1]).max() / w.max() > 1e-8:
+        raise DomainError("weight is not even on the interval")
     if abs(lam_2n[0]) > 1e-6 * max(1.0, abs(lam_2n[1])):
         raise SolverError("discrete Neumann pencil lost its zero mode")
-    lam = (4.0 * lam_2n[1] - lam_n[1]) / 3.0
-    err = abs(lam_n[1] - lam_2n[1]) / 3.0
-    phi = vecs[:, 1]
-    phi = phi / np.abs(phi).max()
-    if phi[-1] < 0:
-        phi = -phi
-    return EigenResult(
-        value=float(lam),
-        method="finite_difference",
-        residual=float(err),
-        grid_size=2 * n,
-        ts=nodes,
-        phi=phi,
-    )
+    return _richardson(lam_n[1], lam_2n[1], n)
 
 
 # ---------------------------------------------------------------------------

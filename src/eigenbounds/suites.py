@@ -102,13 +102,13 @@ LEMMA32_TUPLES = (
 )
 
 
-def lemma32_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def lemma32_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     checks = []
     for m, k1, k2, D in LEMMA32_TUPLES:
         params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
         weight = lambda t, p=params: weight_kahler(p, t)
         full = neumann_first_nonzero_direct(weight, 0.5 * D, n=grid)
-        half = solve_shooting(SLProblem(length=0.5 * D, weight=weight), tol=tol, want_phi=False)
+        half = solve_shooting(SLProblem(length=0.5 * D, weight=weight), tol=tol)
         rel = abs(full.value - half.value) / max(full.value, half.value)
         checks.append(
             _chk(
@@ -122,7 +122,7 @@ def lemma32_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     return SuiteResult("lemma32", checks)
 
 
-def prop13_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def prop13_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     checks = []
     for row in explicit_bound_table(tol=tol, n=grid):
         dev = abs(row["ratio"] - 1.0)
@@ -147,7 +147,9 @@ DIRICHLET_TUPLES = (
 )
 
 
-def dirichlet_identity_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def dirichlet_identity_suite(
+    seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
+) -> SuiteResult:
     checks = []
     for m, k1, k2, R in DIRICHLET_TUPLES:
         params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
@@ -206,7 +208,7 @@ def _envelope_check(name, u0, seedval, tol=1e-6):
     return _chk(name, {"initial_data": seedval, "rate": lam}, values, tol, rep.ok)
 
 
-def heatflow_suite(seed: int = DEFAULT_SEED, **_) -> SuiteResult:
+def heatflow_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     checks = []
     series = {}
 
@@ -232,7 +234,7 @@ def heatflow_suite(seed: int = DEFAULT_SEED, **_) -> SuiteResult:
     series["kappa2_positive"] = (curved.times, curved.osc)
 
     neg = CurvatureParams(m=1, kappa1=-0.25, kappa2=0.0)
-    target = kahler_neumann_bound(neg, 2.0).value
+    target = kahler_neumann_bound(neg, 2.0, tol=tol, n=grid).value
     hyper = heatflow_1d(
         lambda x: drift_kahler(neg, x),
         LINEAR,
@@ -270,12 +272,12 @@ def heatflow_suite(seed: int = DEFAULT_SEED, **_) -> SuiteResult:
     return SuiteResult("heatflow", checks, series=series)
 
 
-def sphere_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def sphere_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     checks = []
     for a in (0.5, 1.0, 2.0):
         spec = surface_eigen(sphere_profile(a))
         exact = 2.0 / a**2
-        rep = comparison_check(sphere_profile(a), tol=tol)
+        rep = comparison_check(sphere_profile(a), tol=tol, grid=grid)
         rel_exact = abs(spec.mu1 - exact) / exact
         rel_bound = abs(rep.mu1 - rep.bound) / rep.bound
         checks.append(
@@ -296,11 +298,11 @@ def sphere_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     return SuiteResult("sphere", checks)
 
 
-def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, **_) -> SuiteResult:
+def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
     checks = []
     rng = np.random.default_rng(seed)
     for i in range(10):
-        rep = comparison_check(random_convex_profile(rng), tol=tol)
+        rep = comparison_check(random_convex_profile(rng), tol=tol, grid=grid)
         checks.append(
             _chk(
                 f"convex_profile_{i}",
@@ -337,7 +339,9 @@ def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, **_) -> SuiteRe
     return SuiteResult("surfaces", checks)
 
 
-def monotonicity_suite(tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def monotonicity_suite(
+    seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
+) -> SuiteResult:
     checks = []
     cases = [
         (CurvatureParams(m=2, kappa1=0.0, kappa2=0.0), [0.5, 1.0, 1.5, 2.0]),
@@ -387,7 +391,4 @@ def run_suite(
         return SuiteResult("all", checks, series=series)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fn = _SUITES[name]
-    if name in ("heatflow", "surfaces"):
-        return fn(seed=seed, tol=tol)
-    return fn(tol=tol, grid=grid)
+    return _SUITES[name](seed=seed, tol=tol, grid=grid)

@@ -469,9 +469,11 @@ def surface_diameter_upper(
 
 
 def comparison_check(
-    profile: SurfaceProfile, modes: int = 3, n: int = 512, tol: float = 1e-10
+    profile: SurfaceProfile, modes: int = 3, n: int = 512, tol: float = 1e-10, grid: int = 2000
 ) -> SurfaceComparison:
     """Check the surface's mu_1 against the m = 1 interior bound.
+
+    `n` is the surface mode solver's grid, `grid` the bound's FD grid.
 
     kappa_1 = K_min / 4 with K_min the analytic curvature minimum over a
     dense meridian grid; the diameter overestimate is clamped to the
@@ -493,7 +495,8 @@ def comparison_check(
             )
             d_used = cap
     spec = surface_eigen(profile, modes=modes, n=n)
-    bound = kahler_neumann_bound(CurvatureParams(m=1, kappa1=kappa1, kappa2=0.0), d_used, tol=tol)
+    params = CurvatureParams(m=1, kappa1=kappa1, kappa2=0.0)
+    bound = kahler_neumann_bound(params, d_used, tol=tol, n=grid)
     bound_error = bound.value * bound.method_agreement
     if bound.limit_error is not None:
         bound_error += bound.limit_error

@@ -47,3 +47,20 @@ def test_sharp_bound_layers(capsys):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["sturm_liouville.eigen_limit.calls"] == 1
     assert metrics["sturm_liouville.solve_shooting.calls"] == 6
+
+
+def test_regular_bound_layer_counters(capsys):
+    # the per-layer work counters the benchmark reads: one FD pencil at
+    # 2,000 and one at 4,000 cells, two weight tables for the shooting
+    # mesh and three weight calls per FD pencil
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["bound", "kahler-neumann", "--m", "2", "--k1", "0.25", "--D", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 2
+    assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 6000
+    assert metrics["coefficients.weight.calls"] == 8

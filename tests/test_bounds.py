@@ -99,8 +99,7 @@ class TestShootingWork:
         ids=["regular", "flat"],
     )
     def test_sweeps_counts_shooting_evaluations(self, monkeypatch, params, D, sweeps):
-        # EigenResult.sweeps is the bracket walk's and brentq's S(lam) count;
-        # the eigenfunction pass is not one of them
+        # EigenResult.sweeps is the bracket walk's and brentq's S(lam) count
         problem = kahler_neumann_bound(params, D).problem
         inner = sturm_liouville._shoot
         calls = []
@@ -110,9 +109,8 @@ class TestShootingWork:
             return inner(table, lam, *args, **kwargs)
 
         monkeypatch.setattr(sturm_liouville, "_shoot", counted)
-        r = sturm_liouville.solve_shooting(problem, want_phi=False)
+        r = sturm_liouville.solve_shooting(problem)
         assert r.sweeps == len(calls) == sweeps
-        assert sturm_liouville.solve_shooting(problem).sweeps == sweeps
         assert sturm_liouville.solve_fd(problem).sweeps == 0
 
 

@@ -8,9 +8,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eigenbounds.cli import main
+from eigenbounds.suites import DEFAULT_SEED
+from eigenbounds.surfaces import comparison_check, random_convex_profile
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +219,17 @@ class TestVerify:
         rows = parse_csv(out)
         assert all(set(r) == {"check", "ok", "tol"} for r in rows)
         assert all(r["ok"] == "1" for r in rows)
+
+    def test_surfaces_bound_uses_grid(self, capsys):
+        # the echoed --grid is the FD grid of each profile's bound
+        code, out, _ = run_cli(capsys, "verify", "surfaces", "--grid", "4000")
+        assert code == 0
+        rec = parse_json(out)
+        assert rec["inputs"]["grid"] == 4000
+        first = random_convex_profile(np.random.default_rng(DEFAULT_SEED))
+        check = rec["results"]["checks"][0]
+        assert check["name"] == "convex_profile_0"
+        assert check["values"]["slack"] == comparison_check(first, grid=4000).slack
 
     @pytest.mark.parametrize("suite", ["surfaces", "heatflow"])
     def test_negative_seed_is_usage(self, capsys, suite):

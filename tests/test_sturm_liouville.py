@@ -15,7 +15,6 @@ from eigenbounds.errors import (
     ZeroDenominator,
 )
 from eigenbounds.sturm_liouville import (
-    EigenResult,
     SLProblem,
     _shoot,
     _Shooter,
@@ -82,6 +81,13 @@ def rk4_reference(problem, ts, lam, want_path=False):
     return np.array(path) if want_path else slope
 
 
+def reference_phi(problem, lam):
+    """Nodes and eigenfunction (phi'(0) = 1) of the float RK4 loop at lam, on
+    the mesh the solver uses for lam."""
+    ts, _ = _Shooter(problem).mesh(lam)
+    return ts, rk4_reference(problem, ts, lam, want_path=True)
+
+
 # --- shooting ---------------------------------------------------------------
 
 
@@ -92,8 +98,9 @@ def test_shooting_flat_exact():
     assert r.method == "shooting"
     assert r.residual < 1e-10
     # eigenfunction sin(pi t / 2) with phi'(0) = 1 normalization
-    expected = (2 / math.pi) * np.sin(math.pi * r.ts / 2)
-    assert np.max(np.abs(r.phi - expected)) < 1e-9
+    ts, phi = reference_phi(FLAT, r.value)
+    expected = (2 / math.pi) * np.sin(math.pi * ts / 2)
+    assert np.max(np.abs(phi - expected)) < 1e-9
 
 
 def test_shooting_flat_scaling():
@@ -105,9 +112,9 @@ def test_shooting_flat_scaling():
 def test_shooting_monotone_eigenfunction():
     # Increasing first eigenfunction on the half interval
     p = SLProblem(length=1.2, weight=lambda t: np.cosh(np.asarray(t, float)) ** 3)
-    r = solve_shooting(p)
-    assert r.phi[0] == 0.0
-    assert np.all(np.diff(r.phi) > -1e-9 * np.abs(r.phi).max())
+    _, phi = reference_phi(p, solve_shooting(p).value)
+    assert phi[0] == 0.0
+    assert np.all(np.diff(phi) > -1e-9 * np.abs(phi).max())
 
 
 @pytest.mark.parametrize("problem", [FLAT, NEAR_CAP], ids=["flat", "near_cap"])
@@ -115,7 +122,7 @@ def test_shooting_sign_marks_first_eigenvalue(problem):
     # S(lam) > 0 exactly below the first eigenvalue, on the mesh the solver
     # uses; every lam up to 40 lam1 shares that mesh.  The float RK4 loop
     # gives the same sign at every lam.
-    r = solve_shooting(problem, want_phi=False)
+    r = solve_shooting(problem)
     ts, table = _Shooter(problem).mesh(40.0 * r.value)
     assert len(ts) - 1 == r.grid_size
     for lam in r.value * np.linspace(0.01, 1.0 - 1e-9, 100):
@@ -136,8 +143,8 @@ def test_shooting_sign_marks_first_eigenvalue(problem):
     ids=["uniform", "graded_sharp", "growing"],
 )
 def test_banded_kernel_matches_rk4_reference(problem):
-    # the banded solve is the RK4 recurrence: S(lam) and the eigenfunction
-    # agree with the float loop to rounding
+    # the banded solve is the RK4 recurrence: S(lam) agrees with the float
+    # loop to rounding
     r = solve_shooting(problem)
     ts, table = _Shooter(problem).mesh(r.value)
     if problem is SHARP_TRUNCATED:
@@ -148,9 +155,6 @@ def test_banded_kernel_matches_rk4_reference(problem):
     for lam in r.value * np.geomspace(0.05, 30.0, 20):
         kernel = _shoot(table, float(lam))
         assert abs(kernel - rk4_reference(problem, ts, float(lam))) <= 1e-12 * w0, lam
-    reference = rk4_reference(problem, ts, r.value, want_path=True)
-    assert r.phi.shape == reference.shape
-    assert np.max(np.abs(r.phi - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_shooting_leaves_no_table_alive(monkeypatch):
@@ -169,19 +173,11 @@ def test_shooting_leaves_no_table_alive(monkeypatch):
     gc.disable()
     try:
         solve_shooting(NEAR_CAP)
-        solve_shooting(FLAT, want_phi=False)
+        solve_shooting(FLAT)
         alive = sum(ref() is not None for ref in refs)
     finally:
         gc.enable()
     assert refs and alive == 0
-
-
-def test_shooting_grid_size_ignores_want_phi():
-    # the solver's graded mesh has fewer steps than its uniform count
-    with_phi = solve_shooting(NEAR_CAP)
-    without = solve_shooting(NEAR_CAP, want_phi=False)
-    assert with_phi.grid_size == without.grid_size == len(with_phi.ts) - 1
-    assert without.value == with_phi.value
 
 
 def test_shooting_rejects_bad_input():
@@ -240,9 +236,6 @@ def test_fd_flat():
     r = solve_fd(FLAT, n=2000)
     assert r.value == pytest.approx(math.pi**2 / 4, rel=1e-6)
     assert r.method == "finite_difference"
-    assert abs(r.phi).max() == pytest.approx(1.0)
-    assert r.phi[0] == 0.0
-    assert np.all(np.diff(r.phi) > -1e-9)
 
 
 def test_fd_sharp_endpoint_rows():
@@ -256,6 +249,29 @@ def test_fd_sharp_endpoint_rows():
     for wf, ell, exact in cases:
         r = solve_fd(SLProblem(length=ell, weight=wf), n=2000)
         assert r.value == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "solve, extra",
+    [
+        (lambda n: solve_fd(FLAT, n=n), 0),
+        (lambda n: neumann_first_nonzero_direct(flat, 1.0, n=n), 1),
+    ],
+    ids=["mixed", "full_interval"],
+)
+def test_fd_requests_eigenvalues_only(monkeypatch, solve, extra):
+    # one pencil per grid, n and 2n cells (n + 1 and 2n + 1 nodes on the
+    # full interval), and no eigenvectors
+    inner = sturm_liouville.eigh_tridiagonal
+    calls = []
+
+    def spy(d, e, **kwargs):
+        calls.append((len(d), kwargs.get("eigvals_only")))
+        return inner(d, e, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", spy)
+    solve(100)
+    assert calls == [(100 + extra, True), (200 + extra, True)]
 
 
 def test_fd_rejects_bad_input():
@@ -317,9 +333,9 @@ def test_rayleigh_linear_trial():
 
 def test_rayleigh_at_eigenfunction():
     p = SLProblem(length=1.0, weight=cos_pow(2))
-    r = solve_shooting(p)
-    q = rayleigh_quotient(p, r.ts, r.phi)
-    assert q == pytest.approx(r.value, rel=1e-9)
+    lam = solve_shooting(p).value
+    q = rayleigh_quotient(p, *reference_phi(p, lam))
+    assert q == pytest.approx(lam, rel=1e-9)
 
 
 def test_rayleigh_upper_bound():
