@@ -9,6 +9,7 @@ record or one CSV document; diagnostics go to stderr.  Exit codes:
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -168,6 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--format", choices=("json", "csv"), default="csv")
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: it holds no state between parses."""
+    return build_parser()
 
 
 def _jsonable(obj):
@@ -344,7 +351,7 @@ def _join_range_flags(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(_join_range_flags(list(argv)))
     handler = {
         "bound": cmd_bound,

@@ -12,17 +12,10 @@ band end it is the Neumann condition, and for k >= 1 the potential wall
 k^2/f enforces decay at poles.  The first nonzero eigenvalue over modes
 0..K is the surface's mu_1.
 
-The diameter estimator builds a graph on an (r, theta) grid whose edge
-weights are lengths of actual curves on the surface, so every graph
-distance overestimates the true distance and the maximum overestimates
-the diameter.  Wide move stencils keep the overestimation factor well
-under the refinement tolerance.  The graph is folded by the mirror
-symmetry theta -> -theta onto the columns 0..n_t/2, keeping the
-lightest of any parallel edges.  This is exact: edge weights depend on
-|dtheta| only and every Dijkstra source (column 0, a pole) is fixed by
-the reflection, so each folded path is the image of a full-circle path
-with the same weights in the same order, and Dijkstra returns the same
-floats on about half the nodes.
+The diameter of a two-pole surface is its meridian length L: the metric
+is at least dr^2, so every pole-to-pole path is at least L long, and two
+points at r1, r2 are at most min(r1 + r2, 2L - r1 - r2) <= L apart through
+the nearer pole.
 
 The comparison report puts the two together against the m = 1 interior
 bound with kappa_1 = K_min / 4, K_min the minimum Gauss curvature -f''/f.
@@ -34,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+# unused here: only the benchmark tracer looks up surfaces.dijkstra; drop with its span
+from scipy.sparse.csgraph import dijkstra  # noqa: F401
 
 from .bounds import kahler_neumann_bound
 from .coefficients import CurvatureParams
@@ -55,10 +48,6 @@ __all__ = [
     "surface_diameter_upper",
     "comparison_check",
 ]
-
-# largest (r, theta) step in the diameter graph's move stencil; moves up
-# to (4, 3) keep the worst-case direction error below 0.3 percent
-MAX_MOVE = 4
 
 # minimal analytic Gauss curvature accepted by the random generator
 CONVEX_K_FLOOR = 0.05
@@ -112,14 +101,9 @@ class SurfaceSpectrum:
 
 @dataclass
 class DiameterEstimate:
-    """Graph overestimate of the surface diameter."""
+    """Diameter of a two-pole surface: its meridian length."""
 
     value: float
-    change: float
-    n_r: int
-    n_theta: int
-    nodes: int  # folded graph nodes of the accepted level
-    sources: int  # its Dijkstra start vertices
 
 
 @dataclass
@@ -131,8 +115,6 @@ class SurfaceComparison:
     mu1_error: float
     diameter: float
     diameter_used: float
-    diameter_nodes: int
-    diameter_sources: int
     k_min: float
     kappa1: float
     bound: float
@@ -149,8 +131,6 @@ class SurfaceComparison:
             "mu1_error": self.mu1_error,
             "diameter": self.diameter,
             "diameter_used": self.diameter_used,
-            "diameter_nodes": self.diameter_nodes,
-            "diameter_sources": self.diameter_sources,
             "k_min": self.k_min,
             "kappa1": self.kappa1,
             "bound": self.bound,
@@ -371,97 +351,19 @@ def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> Surf
 
 
 # ---------------------------------------------------------------------------
-# diameter overestimate
+# diameter
 
 
-def _moves():
-    out = [(0, 1)]
-    for a in range(1, MAX_MOVE + 1):
-        for b in range(-MAX_MOVE + 1, MAX_MOVE):
-            if math.gcd(a, abs(b)) == 1:
-                out.append((a, b))
-    return out
+def surface_diameter_upper(profile: SurfaceProfile) -> DiameterEstimate:
+    """Diameter of a two-pole surface, exactly its meridian length L.
 
-
-def _diameter_once(profile: SurfaceProfile, n_r: int):
-    L = profile.length
-    h = L / n_r
-    poles = profile.closure == "two_poles"
-    # pole closures put rings at cell centers (f > 0 there) plus the two
-    # pole vertices; band closures must grid the boundary circles
-    # themselves or the farthest pairs are cut off the graph
-    if poles:
-        radii = (np.arange(n_r) + 0.5) * h
-    else:
-        radii = np.arange(n_r + 1) * h
-    n_rings = len(radii)
-    f_typical = float(np.max(np.asarray(profile.f(radii), dtype=float)))
-    # even count keeps antipodal pairs on the grid, where the farthest
-    # pairs of a surface of revolution sit
-    n_t = 2 * int(np.clip(round(math.pi * f_typical / h), 4, 3 * n_r))
-    dtheta = 2.0 * math.pi / n_t
-    # mirror fold: columns 0..n_t/2, column j stands for j and n_t - j
-    half = n_t // 2 + 1
-    n_nodes = n_rings * half + (2 if poles else 0)
-
-    def node(i, j):
-        return i * half + np.minimum(j % n_t, -j % n_t)
-
-    rows, cols, wts = [], [], []
-    all_j = np.arange(half)
-    for a, b in _moves():
-        if a >= n_rings:
-            continue
-        i0 = np.arange(n_rings - a)
-        # envelope of f along the move's radial span bounds the true
-        # curve length from above, keeping graph distances >= distances
-        samples = radii[i0][:, None] + np.linspace(0.0, a * h, 2 * a + 1)[None, :]
-        fmax = np.max(np.asarray(profile.f(samples), dtype=float), axis=1)
-        w = np.sqrt((a * h) ** 2 + (fmax * abs(b) * dtheta) ** 2)
-        rows.append(node(i0[:, None], all_j[None, :]).ravel())
-        cols.append(node(i0[:, None] + a, all_j[None, :] + b).ravel())
-        wts.append(np.repeat(w, half))
-    if poles:
-        p0, pL = n_rings * half, n_rings * half + 1
-        for p, i in ((p0, 0), (pL, n_rings - 1)):
-            rows.append(np.full(half, p))
-            cols.append(node(i, 0) + all_j)
-            wts.append(np.full(half, 0.5 * h))
-    # keep the lightest of the edges the fold makes parallel (near columns
-    # 0 and n_t/2); csr_matrix would sum them
-    u, v, w = np.concatenate(rows), np.concatenate(cols), np.concatenate(wts)
-    key = np.minimum(u, v) * n_nodes + np.maximum(u, v)
-    order = np.lexsort((w, key))
-    key = key[order]
-    first = order[np.r_[True, key[1:] != key[:-1]]]
-    graph = csr_matrix((w[first], (u[first], v[first])), shape=(n_nodes, n_nodes))
-    sources = [node(i, 0) for i in range(0, n_rings, 2)]
-    sources.append(node(n_rings - 1, 0))
-    if poles:
-        sources += [p0, pL]
-    dist = dijkstra(graph, directed=False, indices=sources)
-    if not np.all(np.isfinite(dist)):
-        raise SolverError("diameter graph came out disconnected")
-    return float(np.max(dist)), n_t, n_nodes, len(sources)
-
-
-def surface_diameter_upper(
-    profile: SurfaceProfile, n_r: int = 48, tol: float = 0.01, max_levels: int = 4
-) -> DiameterEstimate:
-    """Graph-path overestimate of the diameter, refined until stable.
-
-    Doubles the meridian resolution until the estimate changes by less
-    than `tol` relative; the angular resolution follows the mesh size.
+    Every pole-to-pole path is at least L long and any two points are at
+    most L apart through the nearer pole.  A band's diameter is not its
+    length, so band profiles are refused.
     """
-    prev = None
-    for level in range(max_levels):
-        value, n_t, nodes, sources = _diameter_once(profile, n_r * 2**level)
-        if prev is not None and abs(value - prev) <= tol * value:
-            return DiameterEstimate(
-                value, abs(value - prev), n_r * 2**level, n_t, nodes, sources
-            )
-        prev = value
-    raise SolverError(f"diameter estimate failed to settle within {max_levels} refinements")
+    if profile.closure != "two_poles":
+        raise ProfileError(f"diameter needs a two_poles profile, got {profile.closure}")
+    return DiameterEstimate(profile.length)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +378,11 @@ def comparison_check(
     `n` is the surface mode solver's grid, `grid` the bound's FD grid.
 
     kappa_1 = K_min / 4 with K_min the analytic curvature minimum over a
-    dense meridian grid; the diameter overestimate is clamped to the
-    positive-curvature validity cap when it exceeds it (legitimate since
-    the true diameter obeys the cap and the bound decreases in D).
+    dense meridian grid.  The diameter is the meridian length L, exact for
+    a two-pole surface (see `surface_diameter_upper`).  It is clamped to
+    the positive-curvature validity cap when it exceeds it: the true
+    diameter obeys the cap up to the sampling of K_min, and the bound
+    decreases in D.
     """
     rs = np.linspace(0.0, profile.length, 4097)[1:-1]
     fv = np.asarray(profile.f(rs), dtype=float)
@@ -508,8 +412,6 @@ def comparison_check(
         mu1_error=spec.mu1_error,
         diameter=est.value,
         diameter_used=d_used,
-        diameter_nodes=est.nodes,
-        diameter_sources=est.sources,
         k_min=k_min,
         kappa1=kappa1,
         bound=bound.value,

@@ -7,11 +7,9 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from eigenbounds.errors import ProfileError, SolverError
+from eigenbounds.errors import ProfileError
 from eigenbounds.surfaces import (
     CONVEX_K_FLOOR,
-    _diameter_once,
-    _moves,
     band_profile,
     capsule_profile,
     comparison_check,
@@ -66,59 +64,53 @@ class TestModeSolver:
 
 
 def _full_circle_diameter(profile, n_r):
-    """Diameter graph on every column of the circle, without the mirror fold."""
+    """Graph overestimate of a two-pole surface's diameter, by Dijkstra.
+
+    Rings at the cell centers of an (r, theta) grid plus the two poles.
+    Edge weights are lengths of actual curves on the surface (the envelope
+    of f along a move's radial span bounds its angular part), so graph
+    distances never fall below true distances.  Moves (a, b) with a <= 4,
+    |b| <= 3 and gcd 1 keep the direction error below 0.3 percent.
+    """
     L = profile.length
     h = L / n_r
-    poles = profile.closure == "two_poles"
-    radii = (np.arange(n_r) + 0.5) * h if poles else np.arange(n_r + 1) * h
-    n_rings = len(radii)
+    radii = (np.arange(n_r) + 0.5) * h
     f_typical = float(np.max(np.asarray(profile.f(radii), dtype=float)))
     n_t = 2 * int(np.clip(round(math.pi * f_typical / h), 4, 3 * n_r))
     dtheta = 2.0 * math.pi / n_t
-    n_nodes = n_rings * n_t + (2 if poles else 0)
-
-    def node(i, j):
-        return i * n_t + (j % n_t)
-
+    n_nodes = n_r * n_t + 2
+    moves = [(0, 1)] + [
+        (a, b) for a in range(1, 5) for b in range(-3, 4) if math.gcd(a, abs(b)) == 1
+    ]
     rows, cols, wts = [], [], []
     all_j = np.arange(n_t)
-    for a, b in _moves():
-        if a >= n_rings:
-            continue
-        i0 = np.arange(n_rings - a)
+    for a, b in moves:
+        i0 = np.arange(n_r - a)
         samples = radii[i0][:, None] + np.linspace(0.0, a * h, 2 * a + 1)[None, :]
         fmax = np.max(np.asarray(profile.f(samples), dtype=float), axis=1)
         w = np.sqrt((a * h) ** 2 + (fmax * abs(b) * dtheta) ** 2)
         rows.append((i0[:, None] * n_t + all_j[None, :]).ravel())
         cols.append(((i0[:, None] + a) * n_t + (all_j[None, :] + b) % n_t).ravel())
         wts.append(np.repeat(w, n_t))
-    if poles:
-        p0, pL = n_rings * n_t, n_rings * n_t + 1
-        rows.append(np.full(n_t, p0))
-        cols.append(node(0, 0) + all_j)
-        wts.append(np.full(n_t, 0.5 * h))
-        rows.append(np.full(n_t, pL))
-        cols.append(node(n_rings - 1, 0) + all_j)
+    p0, pL = n_r * n_t, n_r * n_t + 1
+    for pole, ring in ((p0, 0), (pL, n_r - 1)):
+        rows.append(np.full(n_t, pole))
+        cols.append(ring * n_t + all_j)
         wts.append(np.full(n_t, 0.5 * h))
     graph = csr_matrix(
         (np.concatenate(wts), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_nodes, n_nodes),
     )
-    sources = [node(i, 0) for i in range(0, n_rings, 2)]
-    sources.append(node(n_rings - 1, 0))
-    if poles:
-        sources += [p0, pL]
+    sources = [i * n_t for i in range(0, n_r, 2)] + [(n_r - 1) * n_t, p0, pL]
     dist = dijkstra(graph, directed=False, indices=sources)
-    if not np.all(np.isfinite(dist)):
-        raise SolverError("diameter graph came out disconnected")
-    return float(np.max(dist)), n_t, len(sources)
+    assert np.all(np.isfinite(dist))
+    return float(np.max(dist))
 
 
 _FOLD_RNG = np.random.default_rng(715)
 FOLD_PROFILES = [
     (sphere_profile(1.0), 48),
     (sphere_profile(1.0), 96),
-    (band_profile(0.4, 2.0), 48),
     (capsule_profile(0.02), 48),
     (spindle_profile(0.3), 48),
 ] + [(random_convex_profile(_FOLD_RNG), 48) for _ in range(3)]
@@ -128,43 +120,27 @@ class TestDiameter:
     @pytest.mark.parametrize(
         "profile, n_r", FOLD_PROFILES, ids=[f"{p.name} n_r={n}" for p, n in FOLD_PROFILES]
     )
-    def test_mirror_fold_matches_full_circle(self, profile, n_r):
-        # theta -> -theta fixes every source, so the half-circle graph must
-        # give the full circle's distances bit for bit
-        value, n_t, nodes, sources = _diameter_once(profile, n_r)
-        ref_value, ref_n_t, ref_sources = _full_circle_diameter(profile, n_r)
-        assert (value, n_t, sources) == (ref_value, ref_n_t, ref_sources)
-        poles = profile.closure == "two_poles"
-        n_rings = n_r if poles else n_r + 1
-        assert nodes == n_rings * (n_t // 2 + 1) + (2 if poles else 0)
-
-    def test_capsule_floor_has_fewest_columns(self):
-        # n_t = 8 is the floor: the fold column n_t/2 = 4 sits within the
-        # stencil's angular reach |b| <= 3 of column 0
-        assert _diameter_once(capsule_profile(0.02), 48)[1] == 8
-
-    def test_estimate_reports_graph_size(self):
-        est = surface_diameter_upper(sphere_profile(1.0))
-        assert est.nodes == est.n_r * (est.n_theta // 2 + 1) + 2
-        assert est.sources == len(range(0, est.n_r, 2)) + 3
+    def test_graph_reference_matches_meridian_length(self, profile, n_r):
+        # a graph of curve lengths overestimates every distance, and the
+        # diameter of a two-pole surface is exactly its meridian length
+        assert surface_diameter_upper(profile).value == profile.length
+        ref = _full_circle_diameter(profile, n_r)
+        assert ref >= profile.length - 1e-12
+        assert ref == pytest.approx(profile.length, rel=1e-12)
 
     def test_sphere_diameter_overestimates_antipodal(self):
+        # the antipodal distance pi a, attained exactly
         for a in (0.5, 2.0):
-            est = surface_diameter_upper(sphere_profile(a))
-            assert est.value >= PI * a - 1e-12
-            assert est.value == pytest.approx(PI * a, rel=2e-2)
-            assert est.change <= 0.01 * est.value
+            assert surface_diameter_upper(sphere_profile(a)).value == PI * a
 
-    def test_band_diameter_matches_flat_cylinder(self):
-        c, L = 0.4, 2.0
-        exact = math.sqrt(L**2 + (PI * c) ** 2)
-        est = surface_diameter_upper(band_profile(c, L))
-        assert est.value >= exact - 1e-12
-        assert est.value == pytest.approx(exact, rel=2e-2)
+    def test_band_diameter_is_refused(self):
+        # a band's diameter exceeds its length; only two-pole surfaces
+        # have the meridian length as diameter
+        with pytest.raises(ProfileError):
+            surface_diameter_upper(band_profile(0.4, 2.0))
 
     def test_thin_capsule_approaches_meridian_length(self):
-        est = surface_diameter_upper(capsule_profile(0.05))
-        assert est.value == pytest.approx(1.0, rel=2e-2)
+        assert surface_diameter_upper(capsule_profile(0.05)).value == 1.0
 
 
 class TestProfiles:
@@ -220,7 +196,24 @@ class TestComparison:
         assert rep.ok
         assert rep.mu1 == pytest.approx(rep.bound, rel=5e-3)
         assert rep.kappa1 == pytest.approx(0.25, rel=1e-6)
-        # the diameter overestimate tops the cap by roundoff: clamped
+        # the meridian length pi sits exactly on the cap pi / (2 sqrt(1/4))
+        assert rep.diameter == rep.diameter_used == PI
+        assert not any("clamped" in w for w in rep.warnings)
+
+    def test_diameter_clamped_to_curvature_cap(self):
+        # the sphere's f with d2f = -1.01 sin r: K_min = 1.01 puts the cap
+        # pi / sqrt(1.01) below the meridian length pi
+        sp = sphere_profile(1.0)
+        prof = type(sp)(
+            f=sp.f, df=sp.df,
+            d2f=lambda r: -1.01 * np.sin(np.asarray(r, dtype=float)),
+            length=PI, closure="two_poles", name="stiffened sphere",
+        )
+        rep = comparison_check(prof)
+        cap = PI / (2.0 * math.sqrt(rep.kappa1))
+        assert rep.diameter == PI
+        assert rep.diameter_used == cap < PI
+        assert cap == pytest.approx(PI / math.sqrt(1.01), rel=1e-9)
         assert any("clamped" in w for w in rep.warnings)
 
     def test_spindle_equality_case(self):
@@ -243,5 +236,4 @@ class TestComparison:
         rep = comparison_check(capsule_profile(0.2))
         blob = json.loads(json.dumps(rep.to_dict()))
         assert blob["ok"] is True
-        assert blob["diameter_nodes"] > 0 and blob["diameter_sources"] > 0
         assert blob["kappa1"] == 0.0
