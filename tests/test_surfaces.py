@@ -120,7 +120,7 @@ class TestDiameter:
     @pytest.mark.parametrize(
         "profile, n_r", FOLD_PROFILES, ids=[f"{p.name} n_r={n}" for p, n in FOLD_PROFILES]
     )
-    def test_graph_reference_matches_meridian_length(self, profile, n_r):
+    def test_graph_matches_meridian_length(self, profile, n_r):
         # a graph of curve lengths overestimates every distance, and the
         # diameter of a two-pole surface is exactly its meridian length
         assert surface_diameter_upper(profile).value == profile.length
