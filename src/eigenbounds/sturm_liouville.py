@@ -10,18 +10,21 @@ Two independent routes to the same eigenvalues:
     solve for all node states; S(lam) = -w(0) when any node has
     phi < 0 < u.
   * solve_fd: node-based finite differences for (w phi')' = -lam*w*phi,
-    with face weights at the cell midpoints and half-cell end masses,
-    reduced to a symmetric tridiagonal pencil whose eigenvalues LAPACK
-    finds by Sturm-sequence bisection, with Richardson extrapolation
-    over n and 2n cells.
+    with face weights at the cell midpoints and a half-cell end mass,
+    with Richardson extrapolation over n and 2n cells.  The inverse of
+    the mixed stiffness is the discrete Green's function, two cumulative
+    sums and a division by the face weights, so power iteration on it
+    finds the first eigenvalue from sums of positive terms; it keeps
+    relative accuracy on fine grids and for tiny eigenvalues.
 
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only.  neumann_first_nonzero_direct solves the
 full-interval Neumann problem without using any symmetry, so the
-half-interval reduction can be validated against it; _fd_values builds
-the pencils of both FD solvers.  eigen_limit extrapolates eigenvalues of
-problems whose weight vanishes at the right endpoint (boundary-sharp
-cases) from a sequence of truncated regular problems.
+half-interval reduction can be validated against it; its pencil
+(_fd_values) goes to LAPACK Sturm-sequence bisection.  eigen_limit
+extrapolates eigenvalues of problems whose weight vanishes at the right
+endpoint (boundary-sharp cases) from a sequence of truncated regular
+problems.
 """
 
 from __future__ import annotations
@@ -54,10 +57,15 @@ SCAN_FLOOR_FACTOR = 1e-2
 SCAN_CEIL_FACTOR = 1e4
 # relative tolerance of the shooting root
 ROOT_RTOL = 1e-14
-# FD cells per grid: the 2n-cell pencil costs about 130 bytes a row (n = 10^6:
-# 250 MB, 2.7 s on a 2-core VM), and its rounding error, which grows like n^2,
-# passes the truncation error near n = 10^4, so a larger grid only costs memory
+# FD cells per grid.  The full-interval pencil costs about 130 bytes a row
+# (n = 10^6: 250 MB, 2.7 s on a 2-core VM), and its rounding error, which grows
+# like n^2, passes the truncation error near n = 10^4; the mixed solver's
+# cumulative sums keep relative accuracy, so for it the cap bounds memory
 MAX_FD_CELLS = 1_000_000
+# the mixed FD power iteration stops once lam falls by at most FD_RTOL
+# relative, and fails after FD_MAX_ITERATIONS
+FD_RTOL = 1e-14
+FD_MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,9 @@ class SLProblem:
 @dataclass
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) evaluations of the bracket walk and brentq (0 for FD)."""
+    S(lam) evaluations of the bracket walk and brentq, or for the mixed FD
+    solver the power iterations over both grids (0 for the full-interval
+    one)."""
 
     value: float
     method: str
@@ -293,22 +303,79 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
 # finite differences
 
 
-def _fd_values(weight, lo, hi, n, dirichlet, indices):
-    """Eigenvalues `indices` of the FD pencil of (w phi')' = -lam*w*phi on
-    [lo, hi], at n and at 2n cells, as (lam_n, lam_2n).
-
-    Node-based centered scheme: face weights sit at the cell midpoints,
-    and a Neumann end row is the ghost-point elimination, with only its
-    inner face flux and a half-cell mass.  That mass uses the weight at
-    the half cell's midpoint (hi - h/4, and lo + h/4 for a Neumann left
-    end), so a weight that vanishes exactly at an end stays admissible.
-    With `dirichlet`, phi(lo) = 0 and the node lo is dropped.  The
-    symmetrized pencil goes to LAPACK Sturm-sequence bisection.
-    """
+def _check_cells(n):
     if n < 16:
         raise DomainError("n must be at least 16")
     if n > MAX_FD_CELLS:
         raise DomainError(f"n must be at most {MAX_FD_CELLS}")
+
+
+def _green_first(weight, ell, cells):
+    """First eigenvalue of the mixed FD pencil on [0, ell] at `cells` cells,
+    and the number of power iterations it took.
+
+    Node-based centered scheme: face weights sit at the cell midpoints, and
+    the Neumann end node carries half a cell of mass weighted at ell - h/4,
+    so a weight that vanishes exactly at ell stays admissible.  With
+    phi_0 = 0 the stiffness is K = B^T W B, B the lower-bidiagonal
+    difference and W the face weights, so K^-1 y is a reverse cumulative
+    sum, a division by W and a forward cumulative sum: the discrete Green's
+    function of the mixed problem, entrywise positive.  Power iteration on
+    K^-1 M from a positive start converges to the first mode, and its
+    eigenvalue (y.x)/(y.K^-1 y), y = M x, is a quotient of sums of positive
+    terms.  Trailing cells whose weight underflows to exactly 0.0 carry no
+    flux and no mass, and are cut at the last positive face.
+    """
+    h = ell / cells
+    nodes = np.linspace(0.0, ell, cells + 1)
+    faces = 0.5 * (nodes[:-1] + nodes[1:])
+    # face weights and node masses in order along the interval
+    samples = np.empty(2 * cells)
+    samples[1:-1:2] = np.asarray(weight(nodes[1:-1]), dtype=float)
+    samples[0::2] = np.asarray(weight(faces), dtype=float)
+    samples[-1] = 0.5 * float(weight(ell - 0.25 * h))
+    # only a tail of exact zeros, an underflow, is cut; a zero before a
+    # positive sample is outside the domain
+    kept = np.flatnonzero(samples != 0.0)
+    if kept.size == 0 or kept[-1] + 1 != kept.size or np.any(samples < 0.0):
+        raise DomainError("weight not positive on (0, ell)")
+    faces_kept = (kept.size + 1) // 2
+    w, mass = samples[0 : 2 * faces_kept : 2], samples[1 : 2 * faces_kept : 2]
+    x = np.ones(faces_kept)
+    lam = math.inf
+    # a weight that overflows, or a subnormal face under a finite flux, is a
+    # solver failure, not a numpy warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, FD_MAX_ITERATIONS + 1):
+            y = mass * x
+            green = np.cumsum(np.cumsum(y[::-1])[::-1] / w)
+            # numpy's pairwise sums, not a BLAS dot: no thread start-up, and
+            # the rounding grows like log(cells)
+            lam, lam_old = float((y * x).sum()) / float((y * green).sum()), lam
+            if not (math.isfinite(lam) and lam > 0.0):
+                raise SolverError(
+                    "finite-difference iteration not finite: the weight under- or overflows on the grid"
+                )
+            # the quotient falls in exact arithmetic, so a rise is rounding
+            if lam_old - lam <= FD_RTOL * lam:
+                return lam / (h * h), it
+            x = green / green[-1]
+    raise SolverError(
+        f"finite-difference power iteration did not settle in {FD_MAX_ITERATIONS} iterations"
+    )
+
+
+def _fd_values(weight, lo, hi, n):
+    """The two lowest eigenvalues of the full-interval Neumann FD pencil of
+    (w phi')' = -lam*w*phi on [lo, hi], at n and at 2n cells, as
+    (lam_n, lam_2n).
+
+    The scheme of _green_first with a Neumann ghost row at each end: only
+    the inner face flux and a half-cell mass, weighted at lo + h/4 and
+    hi - h/4.  The symmetrized pencil goes to LAPACK Sturm-sequence
+    bisection.
+    """
+    _check_cells(n)
     out = []
     for cells in (n, 2 * n):
         h = (hi - lo) / cells
@@ -316,42 +383,44 @@ def _fd_values(weight, lo, hi, n, dirichlet, indices):
         faces = 0.5 * (nodes[:-1] + nodes[1:])
         w_inner = np.asarray(weight(nodes[1:-1]), dtype=float)
         w_faces = np.asarray(weight(faces), dtype=float)
-        w_lo = [] if dirichlet else [float(weight(lo + 0.25 * h))]
+        w_lo = float(weight(lo + 0.25 * h))
         w_hi = float(weight(hi - 0.25 * h))
-        if np.any(w_inner <= 0) or np.any(w_faces <= 0) or min(w_lo + [w_hi]) <= 0:
+        if np.any(w_inner <= 0) or np.any(w_faces <= 0) or min(w_lo, w_hi) <= 0:
             raise DomainError("weight not positive on (0, ell)")
         # no flux through the ends: a = [0, w_faces, 0]
         a = np.concatenate([[0.0], w_faces, [0.0]])
         diag, off = a[:-1] + a[1:], -a[1:-1]
-        if dirichlet:
-            diag, off = diag[1:], off[1:]
-        mass = h * h * np.concatenate([0.5 * np.array(w_lo), w_inner, [0.5 * w_hi]])
-        # masses of a weight that underflows near a vanishing endpoint make
-        # d or e infinite; that is a solver failure, not a numpy warning
+        mass = h * h * np.concatenate([[0.5 * w_lo], w_inner, [0.5 * w_hi]])
+        # masses of a weight that underflows near an end make d or e
+        # infinite; that is a solver failure, not a numpy warning
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             d = diag / mass
             e = off / np.sqrt(mass[:-1] * mass[1:])
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise SolverError("finite-difference pencil not finite: the weight underflows on the grid")
-        out.append(eigh_tridiagonal(d, e, select="i", select_range=indices, eigvals_only=True))
+        out.append(eigh_tridiagonal(d, e, select="i", select_range=(0, 1), eigvals_only=True))
     return out
 
 
-def _richardson(lam_n, lam_2n, n):
+def _richardson(lam_n, lam_2n, n, sweeps=0):
     """(4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3."""
     return EigenResult(
         value=float((4.0 * lam_2n - lam_n) / 3.0),
         method="finite_difference",
         residual=float(abs(lam_n - lam_2n) / 3.0),
         grid_size=2 * n,
+        sweeps=sweeps,
     )
 
 
 def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
     """First eigenvalue of the mixed problem by finite differences at n
-    and 2n cells, Richardson-extrapolated."""
-    lam_n, lam_2n = _fd_values(problem.weight, 0.0, problem.length, n, True, (0, 0))
-    return _richardson(lam_n[0], lam_2n[0], n)
+    and 2n cells (see _green_first), Richardson-extrapolated.  `sweeps`
+    counts the power iterations over both grids."""
+    _check_cells(n)
+    lam_n, it_n = _green_first(problem.weight, problem.length, n)
+    lam_2n, it_2n = _green_first(problem.weight, problem.length, 2 * n)
+    return _richardson(lam_n, lam_2n, n, sweeps=it_n + it_2n)
 
 
 def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> EigenResult:
@@ -366,7 +435,7 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
     ell = half_length
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError("half_length must be positive and finite")
-    lam_n, lam_2n = _fd_values(weight, -ell, ell, n, False, (0, 1))
+    lam_n, lam_2n = _fd_values(weight, -ell, ell, n)
     w = np.asarray(weight(np.linspace(-ell, ell, 2 * n + 1)[1:-1]), dtype=float)
     if np.abs(w - w[::-1]).max() / w.max() > 1e-8:
         raise DomainError("weight is not even on the interval")

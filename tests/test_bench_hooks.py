@@ -50,9 +50,9 @@ def test_sharp_bound_layers(capsys):
 
 
 def test_regular_bound_layer_counters(capsys):
-    # the per-layer work counters the benchmark reads: one FD pencil at
-    # 2,000 and one at 4,000 cells, two weight tables for the shooting
-    # mesh and three weight calls per FD pencil
+    # the per-layer work counters the benchmark reads: the FD side runs its
+    # Green's-function iteration, so no eigh_tridiagonal pencil; two weight
+    # tables for the shooting mesh and three weight calls per FD grid
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -61,6 +61,19 @@ def test_regular_bound_layer_counters(capsys):
         tracer.uninstall()
     capsys.readouterr()
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 2
-    assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 6000
+    assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 0
+    assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 0
     assert metrics["coefficients.weight.calls"] == 8
+
+
+def test_full_interval_check_keeps_traced_pencil(capsys):
+    # the full-interval Neumann solver of `verify lemma32` still goes
+    # through the traced sturm_liouville.eigh_tridiagonal
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["verify", "lemma32"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert spans.layer_metrics(tracer.spans)["sturm_liouville.eigh_tridiagonal.calls"] > 0

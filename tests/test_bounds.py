@@ -111,7 +111,6 @@ class TestShootingWork:
         monkeypatch.setattr(sturm_liouville, "_shoot", counted)
         r = sturm_liouville.solve_shooting(problem)
         assert r.sweeps == len(calls) == sweeps
-        assert sturm_liouville.solve_fd(problem).sweeps == 0
 
 
 class TestIdentities:

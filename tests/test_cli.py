@@ -119,15 +119,17 @@ class TestBound:
         assert code == 2 and out == ""
         assert err == "eigenbounds: validity: kappa must be finite\n"
 
-    def test_fd_pencil_underflow_exits_1(self, capsys):
-        # the m = 40 weight c^78 underflows near the sharp endpoint, so the
-        # FD mass products vanish; this must be a one-line solver failure
+    def test_m40_sharp_bound_returns_closed_form(self, capsys):
+        # the m = 40 weight c^78 is subnormal near the sharp endpoint; both
+        # methods still give 2m - 1
         code, out, err = run_cli(
             capsys, "bound", "kahler-neumann", "--m", "40", "--k2", "1",
             "--D", "3.141592653589793",
         )
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
+        assert code == 0 and err == ""
+        res = parse_json(out)["results"]
+        assert res["value"] == pytest.approx(79.0, abs=1e-9)
+        assert res["fd_value"] == pytest.approx(79.0, abs=1e-9)
 
     def test_grid_above_cap_exits_2(self, capsys):
         # refused before any finite-difference array is allocated
@@ -166,35 +168,26 @@ class TestBound:
         assert out1 == out2
 
 
-# known method-gap defects (ROADMAP items 1 and 2): the FD value falls
-# outside the error the two methods claim as the weight's vanishing order
-# grows; each turns into a pass once the FD side is mended
+# sharp bounds whose weight vanishes to order 2m - 2 (n - 1) at the
+# endpoint: the symmetrized FD pencil lost these eigenvalues as the order
+# grew, and at m = 40 and 50 the weight underflows on the grid
 SHARP_PI = "3.141592653589793"
-METHOD_GAP_DEFECTS = [
-    ("kahler-neumann", "--m", "7", "--k2", "1", "--D", SHARP_PI),
-    ("kahler-neumann", "--m", "14", "--k2", "1", "--D", SHARP_PI),
-    ("kahler-neumann", "--m", "20", "--k2", "1", "--D", SHARP_PI),
-    ("riemannian-neumann", "--n", "20", "--k", "1", "--D", SHARP_PI),
-]
+SHARP_ROWS = [
+    (("kahler-neumann", "--m", str(m), "--k2", "1", "--D", SHARP_PI), 2.0 * m - 1.0)
+    for m in (5, 7, 14, 20, 40, 50)
+] + [(("riemannian-neumann", "--n", "20", "--k", "1", "--D", SHARP_PI), 20.0)]
 
 
-class TestKnownDefects:
-    @pytest.mark.xfail(strict=True, reason="FD loses the sharp eigenvalue (ROADMAP item 2)")
-    @pytest.mark.parametrize("argv", METHOD_GAP_DEFECTS, ids=" ".join)
-    def test_methods_agree_within_their_errors(self, capsys, argv):
+class TestSharpRows:
+    @pytest.mark.parametrize("argv, exact", SHARP_ROWS, ids=[" ".join(a) for a, _ in SHARP_ROWS])
+    def test_methods_agree_within_their_errors(self, capsys, argv, exact):
         code, out, _ = run_cli(capsys, "bound", *argv)
         assert code == 0
         res = parse_json(out)["results"]
         gap = abs(res["shooting_value"] - res["fd_value"])
         assert gap <= res["fd_error"] + res["shooting_residual"]
-
-    @pytest.mark.xfail(strict=True, reason="the FD weight underflows to 0.0 (ROADMAP item 2)")
-    def test_m50_sharp_bound_returns_closed_form(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bound", "kahler-neumann", "--m", "50", "--k2", "1", "--D", SHARP_PI
-        )
-        assert code == 0
-        assert parse_json(out)["results"]["value"] == pytest.approx(99.0, rel=1e-9)
+        assert res["fd_value"] == pytest.approx(exact, abs=1e-9)
+        assert res["value"] == pytest.approx(exact, abs=1e-9)
 
 
 class TestTable:

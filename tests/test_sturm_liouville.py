@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eigenbounds import sturm_liouville
-from eigenbounds.coefficients import CurvatureParams, weight_kahler
+from eigenbounds.coefficients import CurvatureParams, weight_kahler, weight_riemannian
 from eigenbounds.errors import (
     DomainError,
     NoBracketFound,
@@ -252,16 +252,17 @@ def test_fd_sharp_endpoint_rows():
 
 
 @pytest.mark.parametrize(
-    "solve, extra",
+    "solve, pencils",
     [
-        (lambda n: solve_fd(FLAT, n=n), 0),
-        (lambda n: neumann_first_nonzero_direct(flat, 1.0, n=n), 1),
+        (lambda n: solve_fd(FLAT, n=n), []),
+        (lambda n: neumann_first_nonzero_direct(flat, 1.0, n=n), [(101, True), (201, True)]),
     ],
     ids=["mixed", "full_interval"],
 )
-def test_fd_requests_eigenvalues_only(monkeypatch, solve, extra):
-    # one pencil per grid, n and 2n cells (n + 1 and 2n + 1 nodes on the
-    # full interval), and no eigenvectors
+def test_fd_requests_eigenvalues_only(monkeypatch, solve, pencils):
+    # the mixed solver runs its Green's-function iteration and makes no
+    # eigh_tridiagonal call; the full-interval one builds one pencil per
+    # grid, n + 1 and 2n + 1 nodes, and asks for no eigenvectors
     inner = sturm_liouville.eigh_tridiagonal
     calls = []
 
@@ -271,7 +272,74 @@ def test_fd_requests_eigenvalues_only(monkeypatch, solve, extra):
 
     monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", spy)
     solve(100)
-    assert calls == [(100 + extra, True), (200 + extra, True)]
+    assert calls == pencils
+
+
+@pytest.mark.parametrize("n", [2000, 32000, 250000])
+def test_fd_keeps_relative_accuracy_on_fine_grids(n):
+    # the symmetrized pencil lost about eps/h^2: 1e-6 off at n = 32,000 and
+    # 6e-5 at 250,000.  At n = 2,000 the gap, 2.8e-12, is the h^3 term of the
+    # half-cell end mass that Richardson leaves; it falls 8-fold per doubling
+    r = solve_fd(SLProblem(length=1.0, weight=lambda t: np.cosh(np.asarray(t, float)) ** 2), n=n)
+    assert r.value == pytest.approx(1.68204332003855, rel=5e-12 if n == 2000 else 1e-12)
+
+
+def test_fd_tiny_eigenvalue_keeps_relative_accuracy():
+    # ROADMAP 6(a): the first eigenvalue of cosh^4 on [0, 10] is 4.07842e-16,
+    # far below the pencil's old rounding floor (it gave 8.4e-11)
+    r = solve_fd(SLProblem(length=10.0, weight=lambda t: weight_riemannian(5, -1.0, t)))
+    assert r.value == pytest.approx(4.07842e-16, rel=1e-5)
+
+
+def test_fd_cuts_tail_that_underflows_to_zero():
+    # cos^98 is exactly 0.0 in the last cells before pi/2: they carry no flux
+    # and no mass, and the mixed eigenvalue is still 2*49 + 1
+    r = solve_fd(SLProblem(length=math.pi / 2, weight=cos_pow(98)))
+    assert r.value == pytest.approx(99.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        lambda t: np.cos(np.asarray(t, float)),
+        lambda t: np.where(np.asarray(t) < 0.5, 0.0, 1.0),
+        lambda t: np.where(np.abs(np.asarray(t) - 0.5) < 0.01, 0.0, 1.0),
+    ],
+    ids=["negative", "zero_at_start", "zero_inside"],
+)
+def test_fd_weight_not_positive(weight):
+    # only a tail of exact zeros is cut; a negative weight or a zero before
+    # a positive one is outside the domain
+    with pytest.raises(DomainError, match=r"weight not positive on \(0, ell\)"):
+        solve_fd(SLProblem(length=2.0, weight=weight), n=100)
+
+
+@pytest.mark.parametrize(
+    "problem, sweeps",
+    [
+        (FLAT, 18),
+        (SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=2, kappa1=0.25), t)), 20),
+    ],
+    ids=["flat", "regular_baseline"],
+)
+def test_fd_sweeps_count_power_iterations(monkeypatch, problem, sweeps):
+    inner = sturm_liouville._green_first
+    counts = []
+
+    def counted(*args):
+        lam, its = inner(*args)
+        counts.append(its)
+        return lam, its
+
+    monkeypatch.setattr(sturm_liouville, "_green_first", counted)
+    assert solve_fd(problem).sweeps == sum(counts) == sweeps
+    assert len(counts) == 2
+
+
+def test_fd_iteration_cap_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(sturm_liouville, "FD_MAX_ITERATIONS", 1)
+    with pytest.raises(SolverError, match="did not settle"):
+        solve_fd(FLAT)
 
 
 def test_fd_rejects_bad_input():
