@@ -57,7 +57,12 @@ LIMIT_STEPS = tuple(0.04 / 2**k for k in range(6))
 
 @dataclass
 class BoundResult:
-    """A computed eigenvalue lower bound and its certificate data."""
+    """A computed eigenvalue lower bound and its certificate data.
+
+    `fd_error` is |lam_n - lam_2n|/3, the error estimate of the coarse
+    FD pair, not of the Richardson `fd_value`; it usually overstates the
+    error of `fd_value` by orders of magnitude (see `_richardson`).
+    """
 
     value: float
     theorem_tag: str

@@ -10,8 +10,11 @@ instead of a rate.
 
 The envelope check takes a recorded trajectory and a candidate barrier
 phi(s, t): it verifies the barrier's supersolution property and monotonicity
-numerically at t = 0, then brute-forces the modulus of continuity over all
-grid pairs at every recorded time against 2 phi(d/2, t).
+numerically at t = 0, then compares the modulus of continuity at every
+recorded time against 2 phi(d/2, t).  On the uniform grid all pairs at one
+index offset lie the same distance apart, so the sweep over all pairs
+keeps one largest gap per offset and the barrier is evaluated on the n - 1
+offset distances only.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +33,7 @@ __all__ = [
     "GRAPHICAL_MCF",
     "heatflow_1d",
     "modulus_envelope_check",
+    "modulus_of_continuity",
     "FIT_RESIDUAL_MAX",
     "MAX_FLOW_NODES",
 ]
@@ -40,7 +44,8 @@ FIT_RESIDUAL_MAX = 1e-3
 # fraction of the diffusion / transport stability limits actually used
 CFL_SAFETY = 0.4
 # grid nodes per flow: the linear flow's dense n x n propagator takes
-# 8 n^2 bytes (32 MB at n = 2048)
+# 8 n^2 bytes (32 MB at n = 2048), and the envelope check's offset sweep
+# about 3 x 8 x n x (records + 1) bytes (20 MB at n = 2048, 400 records)
 MAX_FLOW_NODES = 2048
 
 
@@ -241,6 +246,35 @@ def _coefficient(fn, d1, profile):
     return c
 
 
+def modulus_of_continuity(xs, states):
+    """Largest gap per grid offset of each recorded state, with its distance.
+
+    On a uniform grid every pair (i, i + d) is the same d h apart, so the
+    modulus of continuity of a state at half-distance s_d = d h / 2 is
+    max_i |u(i + d) - u(i)|.  Returns the n - 1 half-distances s_d and an
+    (n - 1, len(states)) table of those maxima; every pair is swept once.
+    The states are copied node-major, so each offset is one contiguous
+    difference over all records into a reused buffer.  The copy, the
+    buffer and the table take about 3 x 8 x n x len(states) bytes.
+    """
+    xs = np.asarray(xs, dtype=float)
+    hs = np.diff(xs)
+    if hs.size == 0 or not np.allclose(hs, hs[0], rtol=1e-10, atol=0.0):
+        raise DomainError("modulus of continuity needs a uniform grid of at least 2 nodes")
+    nodes = np.ascontiguousarray(np.asarray(states, dtype=float).T)
+    n = len(xs)
+    if nodes.shape[0] != n:
+        raise DomainError(f"states must have {n} nodes per record, got {nodes.shape[0]}")
+    buf = np.empty((n - 1, nodes.shape[1]))
+    gap_max = np.empty_like(buf)
+    for d in range(1, n):
+        diff = buf[: n - d]
+        np.subtract(nodes[d:], nodes[:-d], out=diff)
+        np.abs(diff, out=diff)
+        np.max(diff, axis=0, out=gap_max[d - 1])
+    return 0.5 * np.abs(xs[1:] - xs[0]), gap_max
+
+
 def modulus_envelope_check(
     result: FlowResult,
     envelope: Callable,
@@ -252,11 +286,14 @@ def modulus_envelope_check(
     `envelope` maps (s array, t) to barrier values on s in [0, ell].  Three
     numerical hypothesis checks at t = 0 (supersolution margin against the
     trajectory's own drift and profile, s-monotonicity, initial
-    domination), then the brute-force pair sweep at every recorded time.
+    domination), then the modulus of every record against 2 phi(s, t).
+    The grid must be uniform (DomainError otherwise): the pair sweep of
+    `modulus_of_continuity` leaves one largest gap per offset, so the
+    envelope is called once per record on the n - 1 offset distances.
     Violations are reported, never raised.
     """
-    xs, ell = result.xs, result.length
-    n = len(xs)
+    s_offsets, gap_max = modulus_of_continuity(result.xs, result.states)
+    ell = result.length
 
     # hypothesis grid: endpoints included for evaluation, conditions at
     # the interior nodes where central differences are defined
@@ -276,17 +313,12 @@ def modulus_envelope_check(
     supersolution_margin = float(np.min(margin))
     monotone_margin = float(np.min(d1))
 
-    iu, ju = np.triu_indices(n, k=1)
-    s_pairs = 0.5 * np.abs(xs[ju] - xs[iu])
-    max_violation = -np.inf
-    initial_violation = 0.0
+    viol = np.empty(len(result.times))
     for k, t in enumerate(result.times):
-        u = result.states[k]
-        gaps = np.abs(u[ju] - u[iu])
-        viol = float(np.max(gaps - 2.0 * np.asarray(envelope(s_pairs, float(t)))))
-        if k == 0:
-            initial_violation = viol
-        max_violation = max(max_violation, viol)
+        env = np.asarray(envelope(s_offsets, float(t)), dtype=float)
+        viol[k] = np.max(gap_max[:, k] - 2.0 * env)
+    initial_violation = float(viol[0])
+    max_violation = float(np.max(viol))
 
     ok = (
         supersolution_margin >= -hyp_rtol * hyp_scale

@@ -403,7 +403,13 @@ def _fd_values(weight, lo, hi, n):
 
 
 def _richardson(lam_n, lam_2n, n, sweeps=0):
-    """(4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3."""
+    """(4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3.
+
+    The estimate is the error of the coarse pair (lam_2n's, for an h^2
+    scheme), not of the extrapolated value it is reported with, which is
+    usually far more accurate: on `bound kahler-neumann --m 5 --k2 1
+    --D pi` it is 1.16e-7 against an actual error of 3.7e-13.
+    """
     return EigenResult(
         value=float((4.0 * lam_2n - lam_n) / 3.0),
         method="finite_difference",

@@ -24,6 +24,7 @@ from .heatflow import (
     LINEAR,
     heatflow_1d,
     modulus_envelope_check,
+    modulus_of_continuity,
 )
 from .sturm_liouville import SLProblem, neumann_first_nonzero_direct, solve_shooting
 from .surfaces import (
@@ -190,10 +191,8 @@ def _flat_psi(s):
 
 def _envelope_check(name, u0, seedval, tol=1e-6):
     flow = heatflow_1d(None, LINEAR, 0.5, u0, 1.5, n=128)
-    iu, ju = np.triu_indices(len(flow.xs), k=1)
-    s_pairs = 0.5 * np.abs(flow.xs[ju] - flow.xs[iu])
-    gaps = np.abs(flow.states[0][ju] - flow.states[0][iu])
-    big_c = float(np.max(gaps / (2.0 * _flat_psi(s_pairs))))
+    s_offsets, gap_max = modulus_of_continuity(flow.xs, flow.states[:1])
+    big_c = float(np.max(gap_max[:, 0] / (2.0 * _flat_psi(s_offsets))))
     lam = math.pi**2
     rep = modulus_envelope_check(
         flow, lambda s, t: big_c * math.exp(-lam * t) * _flat_psi(s), tol=tol

@@ -5,9 +5,13 @@ binds a traced name early (at import time) or renames it would silently
 zero the benchmark's per-layer counts; these tests fail instead.
 """
 
+import math
 import pathlib
 import sys
 
+import numpy as np
+
+from eigenbounds import heatflow
 from eigenbounds.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
@@ -77,3 +81,19 @@ def test_full_interval_check_keeps_traced_pencil(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert spans.layer_metrics(tracer.spans)["sturm_liouville.eigh_tridiagonal.calls"] > 0
+
+
+def test_envelope_check_span_counts_every_pair():
+    # the offset sweep still covers all n (n - 1) / 2 pairs of every record
+    flow = heatflow.heatflow_1d(None, heatflow.LINEAR, 0.5, np.tanh, 0.5, n=128, records=400)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        heatflow.modulus_envelope_check(
+            flow, lambda s, t: math.exp(-math.pi**2 * t) * np.sin(math.pi * s)
+        )
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["heatflow.modulus_envelope_check.calls"] == 1
+    assert metrics["heatflow.modulus_envelope_check.pair_evals"] == 8128 * 401 == 3_259_328

@@ -17,6 +17,7 @@ from eigenbounds.heatflow import (
     FlowResult,
     heatflow_1d,
     modulus_envelope_check,
+    modulus_of_continuity,
 )
 
 PI = math.pi
@@ -187,6 +188,14 @@ def _calibrate(flow):
     return float(np.max(gaps / (2.0 * _psi(s_pairs))))
 
 
+def _random_smooth(x):
+    coef = np.random.default_rng(20240819).normal(size=4)
+    out = np.sin(PI * x)
+    for j, c in enumerate(coef):
+        out = out + 0.2 * c * np.cos((j + 1) * PI * x) / (j + 1)
+    return out
+
+
 class TestEnvelope:
     def test_generic_data_never_violates(self):
         flow = heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.5, n=128)
@@ -197,16 +206,7 @@ class TestEnvelope:
         assert rep.initial_violation <= 1e-12
 
     def test_random_smooth_data(self):
-        rng = np.random.default_rng(20240819)
-        coef = rng.normal(size=4)
-
-        def u0(x):
-            out = np.sin(PI * x)
-            for j, c in enumerate(coef):
-                out = out + 0.2 * c * np.cos((j + 1) * PI * x) / (j + 1)
-            return out
-
-        flow = heatflow_1d(None, LINEAR, 0.5, u0, 1.5, n=128)
+        flow = heatflow_1d(None, LINEAR, 0.5, _random_smooth, 1.5, n=128)
         C = _calibrate(flow)
         rep = modulus_envelope_check(flow, _envelope_constant(C, PI**2))
         assert rep.ok
@@ -249,3 +249,92 @@ class TestEnvelope:
         rep = modulus_envelope_check(flow, _envelope_constant(5.0, 30.0))
         assert not rep.ok
         assert rep.supersolution_margin < 0
+
+
+def _pairwise_violations(flow, envelope):
+    """Per-pair reference sweep: every pair against 2 phi at its own distance.
+
+    Returns (max_violation, initial_violation) over all records.
+    """
+    iu, ju = np.triu_indices(len(flow.xs), k=1)
+    s_pairs = 0.5 * np.abs(flow.xs[ju] - flow.xs[iu])
+    viol = []
+    for k, t in enumerate(flow.times):
+        u = flow.states[k]
+        gaps = np.abs(u[ju] - u[iu])
+        viol.append(float(np.max(gaps - 2.0 * np.asarray(envelope(s_pairs, float(t))))))
+    return max(viol), viol[0]
+
+
+_SWEEP_DATA = {
+    "tanh": _sign_like,
+    "mixed_mode": lambda x: np.sin(PI * x) + 0.3 * np.cos(2.0 * PI * x),
+    "random_smooth": _random_smooth,
+    "non_monotone": lambda x: np.cos(3.0 * PI * x) + 0.5 * np.sin(5.0 * PI * x),
+}
+
+
+class TestOffsetSweep:
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("name", sorted(_SWEEP_DATA))
+    def test_bit_identical_to_pairs_on_dyadic_grid(self, name, n):
+        # h = 1/64 and 1/128: every pair distance is exactly its offset's
+        flow = heatflow_1d(None, LINEAR, 0.5, _SWEEP_DATA[name], 0.5, n=n, records=50)
+        env = _envelope_constant(_calibrate(flow), PI**2)
+        rep = modulus_envelope_check(flow, env)
+        assert (rep.max_violation, rep.initial_violation) == _pairwise_violations(flow, env)
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP_DATA))
+    def test_matches_pairs_to_rounding_on_general_grid(self, name):
+        # h = 1/150: pair distances at one offset differ in the last ulp
+        flow = heatflow_1d(None, LINEAR, 1.0 / 3.0, _SWEEP_DATA[name], 0.3, n=100, records=40)
+        env = _envelope_constant(_calibrate(flow), PI**2)
+        rep = modulus_envelope_check(flow, env)
+        max_v, init_v = _pairwise_violations(flow, env)
+        iu, ju = np.triu_indices(len(flow.xs), k=1)
+        scale = float(np.max(np.abs(env(0.5 * np.abs(flow.xs[ju] - flow.xs[iu]), 0.0))))
+        assert abs(rep.max_violation - max_v) <= 1e-15 * scale
+        assert abs(rep.initial_violation - init_v) <= 1e-15 * scale
+
+    def test_offsets_and_gaps(self):
+        xs = np.arange(5) * 0.25
+        states = np.array([[0.0, 1.0, 3.0, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0, 1.0]])
+        s, gaps = modulus_of_continuity(xs, states)
+        assert s.tolist() == [0.125, 0.25, 0.375, 0.5]
+        assert gaps.tolist() == [[2.0, 0.0], [3.0, 0.0], [2.0, 0.0], [0.5, 0.0]]
+        with pytest.raises(DomainError, match="5 nodes per record"):
+            modulus_of_continuity(xs, states[:, :4])
+        with pytest.raises(DomainError, match="at least 2 nodes"):
+            modulus_of_continuity(xs[:1], states[:, :1])
+
+    def test_non_uniform_grid_is_refused(self):
+        xs = np.linspace(-0.45, 0.45, 32)
+        xs[10] += 1e-3
+        flow = FlowResult(
+            xs=xs,
+            times=np.array([0.0, 1.0]),
+            states=np.tile(np.tanh(xs), (2, 1)),
+            osc=np.zeros(2),
+            profile=LINEAR,
+            drift=None,
+            length=0.5,
+        )
+        with pytest.raises(DomainError, match="uniform grid"):
+            modulus_envelope_check(flow, _envelope_constant(1.0, PI**2))
+
+    def test_one_envelope_call_per_record_on_offset_distances(self):
+        n, records = 128, 40
+        flow = heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.5, n=n, records=records)
+        env = _envelope_constant(_calibrate(flow), PI**2)
+        sizes = []
+
+        def counted(s, t):
+            sizes.append(np.size(s))
+            return env(s, t)
+
+        modulus_envelope_check(flow, counted)
+        # two hypothesis-grid calls, then one per record on the n - 1
+        # offsets rather than the n (n - 1) / 2 pairs
+        assert len(sizes) == len(flow.times) + 2 == records + 3
+        assert sizes[:2] == [257, 257]
+        assert sizes[2:] == [n - 1] * len(flow.times)
