@@ -20,8 +20,9 @@ Two independent routes to the same eigenvalues:
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only.  neumann_first_nonzero_direct solves the
 full-interval Neumann problem without using any symmetry, so the
-half-interval reduction can be validated against it; its pencil
-(_fd_values) goes to LAPACK Sturm-sequence bisection.  eigen_limit
+half-interval reduction can be validated against it; it runs the same
+Green's-function iteration with the left end free, deflated against the
+constants.  eigen_limit
 extrapolates eigenvalues of problems whose weight vanishes at the right
 endpoint (boundary-sharp cases) from a sequence of truncated regular
 problems.
@@ -35,7 +36,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
+# unused here: only the benchmark tracer looks up sturm_liouville.eigh_tridiagonal;
+# drop with its span
+from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
@@ -57,12 +60,11 @@ SCAN_FLOOR_FACTOR = 1e-2
 SCAN_CEIL_FACTOR = 1e4
 # relative tolerance of the shooting root
 ROOT_RTOL = 1e-14
-# FD cells per grid.  The full-interval pencil costs about 130 bytes a row
-# (n = 10^6: 250 MB, 2.7 s on a 2-core VM), and its rounding error, which grows
-# like n^2, passes the truncation error near n = 10^4; the mixed solver's
-# cumulative sums keep relative accuracy, so for it the cap bounds memory
+# FD cells per grid.  The cumulative sums keep relative accuracy on fine
+# grids, so the cap bounds memory and time: n = 10^6 takes about 170 MB and
+# 0.7 to 0.9 s on a 2-core VM, in either FD solver
 MAX_FD_CELLS = 1_000_000
-# the mixed FD power iteration stops once lam falls by at most FD_RTOL
+# the FD power iteration stops once lam falls by at most FD_RTOL
 # relative, and fails after FD_MAX_ITERATIONS
 FD_RTOL = 1e-14
 FD_MAX_ITERATIONS = 500
@@ -91,15 +93,14 @@ class SLProblem:
 @dataclass
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) evaluations of the bracket walk and brentq, or for the mixed FD
-    solver the power iterations over both grids (0 for the full-interval
-    one)."""
+    S(lam) evaluations of the bracket walk and brentq, or for the FD
+    solvers the power iterations over both grids."""
 
     value: float
     method: str
     residual: float
     grid_size: int
-    sweeps: int = 0
+    sweeps: int
 
 
 # ---------------------------------------------------------------------------
@@ -303,55 +304,70 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
 # finite differences
 
 
-def _check_cells(n):
-    if n < 16:
-        raise DomainError("n must be at least 16")
-    if n > MAX_FD_CELLS:
-        raise DomainError(f"n must be at most {MAX_FD_CELLS}")
-
-
-def _green_first(weight, ell, cells):
-    """First eigenvalue of the mixed FD pencil on [0, ell] at `cells` cells,
+def _green_first(weight, lo, hi, cells, free=False):
+    """First nonzero eigenvalue of the FD pencil on [lo, hi] at `cells`
+    cells, with phi'(hi) = 0 and phi(lo) = 0 (or phi'(lo) = 0 when `free`),
     and the number of power iterations it took.
 
     Node-based centered scheme: face weights sit at the cell midpoints, and
-    the Neumann end node carries half a cell of mass weighted at ell - h/4,
-    so a weight that vanishes exactly at ell stays admissible.  With
-    phi_0 = 0 the stiffness is K = B^T W B, B the lower-bidiagonal
+    a Neumann end node carries half a cell of mass weighted a quarter cell
+    inside, so a weight that vanishes exactly at hi stays admissible.  With
+    phi(lo) = 0 the stiffness is K = B^T W B, B the lower-bidiagonal
     difference and W the face weights, so K^-1 y is a reverse cumulative
     sum, a division by W and a forward cumulative sum: the discrete Green's
     function of the mixed problem, entrywise positive.  Power iteration on
     K^-1 M from a positive start converges to the first mode, and its
     eigenvalue (y.x)/(y.K^-1 y), y = M x, is a quotient of sums of positive
-    terms.  Trailing cells whose weight underflows to exactly 0.0 carry no
-    flux and no mass, and are cut at the last positive face.
+    terms.  A free node at lo adds its half-cell mass, and the constants
+    become the kernel of K.  Iterates kept M-orthogonal to them (deflation)
+    give a y that sums to zero, so the same sums solve K z = y up to a
+    constant, which the quotient ignores.  The increasing ramp start meets
+    the first nonzero mode, which is monotone, and the iterates stay
+    increasing, so the flux through a face where x < 0 is minus the sum of
+    the negative y up to it: no flux cancels, even where the weight
+    vanishes at lo.  No symmetry of the weight is used.  Trailing cells whose
+    weight underflows to exactly 0.0 carry no flux and no mass, and are cut
+    at the last positive face.
     """
-    h = ell / cells
-    nodes = np.linspace(0.0, ell, cells + 1)
+    h = (hi - lo) / cells
+    nodes = np.linspace(lo, hi, cells + 1)
     faces = 0.5 * (nodes[:-1] + nodes[1:])
-    # face weights and node masses in order along the interval
-    samples = np.empty(2 * cells)
-    samples[1:-1:2] = np.asarray(weight(nodes[1:-1]), dtype=float)
-    samples[0::2] = np.asarray(weight(faces), dtype=float)
-    samples[-1] = 0.5 * float(weight(ell - 0.25 * h))
+    # the free end mass, then face weights and node masses in order along
+    # the interval
+    f = int(free)
+    samples = np.empty(2 * cells + f)
+    samples[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
+    samples[f:-1:2] = np.asarray(weight(faces), dtype=float)
+    samples[-1] = 0.5 * float(weight(hi - 0.25 * h))
+    if free:
+        samples[0] = 0.5 * float(weight(lo + 0.25 * h))
     # only a tail of exact zeros, an underflow, is cut; a zero before a
     # positive sample is outside the domain
     kept = np.flatnonzero(samples != 0.0)
     if kept.size == 0 or kept[-1] + 1 != kept.size or np.any(samples < 0.0):
         raise DomainError("weight not positive on (0, ell)")
-    faces_kept = (kept.size + 1) // 2
-    w, mass = samples[0 : 2 * faces_kept : 2], samples[1 : 2 * faces_kept : 2]
-    x = np.ones(faces_kept)
+    faces_kept = (kept.size + 1 - f) // 2
+    w, mass = samples[f : f + 2 * faces_kept : 2], samples[1 - f : f + 2 * faces_kept : 2]
+    x = nodes[: mass.size].copy() if free else np.ones(faces_kept)
     lam = math.inf
     # a weight that overflows, or a subnormal face under a finite flux, is a
     # solver failure, not a numpy warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = mass.sum()
         for it in range(1, FD_MAX_ITERATIONS + 1):
+            if free:
+                x -= (mass * x).sum() / total
             y = mass * x
-            green = np.cumsum(np.cumsum(y[::-1])[::-1] / w)
+            # the flux through each face: the sum of y beyond it or, with lo
+            # free and x < 0, minus the sum up to it; each sums terms of one sign
+            flux = np.cumsum(y[::-1])[::-1][f:]
+            if free:
+                flux = np.where(x[:-1] < 0.0, -np.cumsum(y[:-1]), flux)
+            # z at the nodes after lo, with z(lo) = 0
+            green = np.cumsum(flux / w)
             # numpy's pairwise sums, not a BLAS dot: no thread start-up, and
             # the rounding grows like log(cells)
-            lam, lam_old = float((y * x).sum()) / float((y * green).sum()), lam
+            lam, lam_old = float((y * x).sum()) / float((y[f:] * green).sum()), lam
             if not (math.isfinite(lam) and lam > 0.0):
                 raise SolverError(
                     "finite-difference iteration not finite: the weight under- or overflows on the grid"
@@ -359,50 +375,15 @@ def _green_first(weight, ell, cells):
             # the quotient falls in exact arithmetic, so a rise is rounding
             if lam_old - lam <= FD_RTOL * lam:
                 return lam / (h * h), it
-            x = green / green[-1]
+            if free:
+                x[0] = 0.0
+            np.divide(green, green[-1], out=x[f:])
     raise SolverError(
         f"finite-difference power iteration did not settle in {FD_MAX_ITERATIONS} iterations"
     )
 
 
-def _fd_values(weight, lo, hi, n):
-    """The two lowest eigenvalues of the full-interval Neumann FD pencil of
-    (w phi')' = -lam*w*phi on [lo, hi], at n and at 2n cells, as
-    (lam_n, lam_2n).
-
-    The scheme of _green_first with a Neumann ghost row at each end: only
-    the inner face flux and a half-cell mass, weighted at lo + h/4 and
-    hi - h/4.  The symmetrized pencil goes to LAPACK Sturm-sequence
-    bisection.
-    """
-    _check_cells(n)
-    out = []
-    for cells in (n, 2 * n):
-        h = (hi - lo) / cells
-        nodes = np.linspace(lo, hi, cells + 1)
-        faces = 0.5 * (nodes[:-1] + nodes[1:])
-        w_inner = np.asarray(weight(nodes[1:-1]), dtype=float)
-        w_faces = np.asarray(weight(faces), dtype=float)
-        w_lo = float(weight(lo + 0.25 * h))
-        w_hi = float(weight(hi - 0.25 * h))
-        if np.any(w_inner <= 0) or np.any(w_faces <= 0) or min(w_lo, w_hi) <= 0:
-            raise DomainError("weight not positive on (0, ell)")
-        # no flux through the ends: a = [0, w_faces, 0]
-        a = np.concatenate([[0.0], w_faces, [0.0]])
-        diag, off = a[:-1] + a[1:], -a[1:-1]
-        mass = h * h * np.concatenate([[0.5 * w_lo], w_inner, [0.5 * w_hi]])
-        # masses of a weight that underflows near an end make d or e
-        # infinite; that is a solver failure, not a numpy warning
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = diag / mass
-            e = off / np.sqrt(mass[:-1] * mass[1:])
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise SolverError("finite-difference pencil not finite: the weight underflows on the grid")
-        out.append(eigh_tridiagonal(d, e, select="i", select_range=(0, 1), eigvals_only=True))
-    return out
-
-
-def _richardson(lam_n, lam_2n, n, sweeps=0):
+def _richardson(lam_n, lam_2n, n, sweeps):
     """(4*lam_2n - lam_n)/3 with error estimate |lam_n - lam_2n|/3.
 
     The estimate is the error of the coarse pair (lam_2n's, for an h^2
@@ -419,35 +400,40 @@ def _richardson(lam_n, lam_2n, n, sweeps=0):
     )
 
 
-def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
-    """First eigenvalue of the mixed problem by finite differences at n
-    and 2n cells (see _green_first), Richardson-extrapolated.  `sweeps`
+def _fd(weight, lo, hi, n, free=False):
+    """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps`
     counts the power iterations over both grids."""
-    _check_cells(n)
-    lam_n, it_n = _green_first(problem.weight, problem.length, n)
-    lam_2n, it_2n = _green_first(problem.weight, problem.length, 2 * n)
-    return _richardson(lam_n, lam_2n, n, sweeps=it_n + it_2n)
+    if n < 16:
+        raise DomainError("n must be at least 16")
+    if n > MAX_FD_CELLS:
+        raise DomainError(f"n must be at most {MAX_FD_CELLS}")
+    lam_n, it_n = _green_first(weight, lo, hi, n, free)
+    lam_2n, it_2n = _green_first(weight, lo, hi, 2 * n, free)
+    return _richardson(lam_n, lam_2n, n, it_n + it_2n)
+
+
+def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
+    """First eigenvalue of the mixed problem by finite differences (see
+    _green_first and _fd)."""
+    return _fd(problem.weight, 0.0, problem.length, n)
 
 
 def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> EigenResult:
     """First nonzero Neumann eigenvalue on [-half_length, half_length].
 
-    Full-interval discretization with Neumann ghost rows at both ends; no
-    symmetry of the weight is used, so this is an independent check of the
+    The scheme of solve_fd with the left end free as well; no symmetry of
+    the weight is used, so this is an independent check of the
     half-interval reduction.  The weight must be even and positive;
-    evenness is verified on the 2n grid.  Richardson over n and 2n as in
-    solve_fd.
+    evenness is verified on the 2n grid.
     """
     ell = half_length
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError("half_length must be positive and finite")
-    lam_n, lam_2n = _fd_values(weight, -ell, ell, n)
+    result = _fd(weight, -ell, ell, n, free=True)
     w = np.asarray(weight(np.linspace(-ell, ell, 2 * n + 1)[1:-1]), dtype=float)
     if np.abs(w - w[::-1]).max() / w.max() > 1e-8:
         raise DomainError("weight is not even on the interval")
-    if abs(lam_2n[0]) > 1e-6 * max(1.0, abs(lam_2n[1])):
-        raise SolverError("discrete Neumann pencil lost its zero mode")
-    return _richardson(lam_n[1], lam_2n[1], n)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def test_regular_bound_layer_counters(capsys):
     assert metrics["coefficients.weight.calls"] == 8
 
 
-def test_full_interval_check_keeps_traced_pencil(capsys):
-    # the full-interval Neumann solver of `verify lemma32` still goes
-    # through the traced sturm_liouville.eigh_tridiagonal
+def test_full_interval_check_traces_no_pencil(capsys):
+    # the full-interval Neumann solver of `verify lemma32` runs the
+    # Green's-function iteration, so the traced
+    # sturm_liouville.eigh_tridiagonal sees no call
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -80,7 +81,7 @@ def test_full_interval_check_keeps_traced_pencil(capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert spans.layer_metrics(tracer.spans)["sturm_liouville.eigh_tridiagonal.calls"] > 0
+    assert spans.layer_metrics(tracer.spans)["sturm_liouville.eigh_tridiagonal.calls"] == 0
 
 
 def test_envelope_check_span_counts_every_pair():

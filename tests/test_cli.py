@@ -238,6 +238,14 @@ class TestVerify:
         assert rec["results"]["passed"] == 5 and rec["results"]["failed"] == 0
         assert rec["results"]["ok"] is True
 
+    def test_lemma32_passes_on_fine_grid(self, capsys):
+        # the full-interval solver keeps relative accuracy on fine grids
+        code, out, _ = run_cli(capsys, "verify", "lemma32", "--grid", "100000")
+        assert code == 0
+        checks = parse_json(out)["results"]["checks"]
+        assert len(checks) == 5
+        assert all(c["values"]["agreement"] < 1e-12 for c in checks)
+
     def test_monotonicity_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "monotonicity", "--format", "csv")
         assert code == 0

@@ -255,14 +255,13 @@ def test_fd_sharp_endpoint_rows():
     "solve, pencils",
     [
         (lambda n: solve_fd(FLAT, n=n), []),
-        (lambda n: neumann_first_nonzero_direct(flat, 1.0, n=n), [(101, True), (201, True)]),
+        (lambda n: neumann_first_nonzero_direct(flat, 1.0, n=n), []),
     ],
     ids=["mixed", "full_interval"],
 )
 def test_fd_requests_eigenvalues_only(monkeypatch, solve, pencils):
-    # the mixed solver runs its Green's-function iteration and makes no
-    # eigh_tridiagonal call; the full-interval one builds one pencil per
-    # grid, n + 1 and 2n + 1 nodes, and asks for no eigenvectors
+    # both FD solvers run the Green's-function iteration and make no
+    # eigh_tridiagonal call
     inner = sturm_liouville.eigh_tridiagonal
     calls = []
 
@@ -275,13 +274,24 @@ def test_fd_requests_eigenvalues_only(monkeypatch, solve, pencils):
     assert calls == pencils
 
 
-@pytest.mark.parametrize("n", [2000, 32000, 250000])
-def test_fd_keeps_relative_accuracy_on_fine_grids(n):
-    # the symmetrized pencil lost about eps/h^2: 1e-6 off at n = 32,000 and
-    # 6e-5 at 250,000.  At n = 2,000 the gap, 2.8e-12, is the h^3 term of the
-    # half-cell end mass that Richardson leaves; it falls 8-fold per doubling
-    r = solve_fd(SLProblem(length=1.0, weight=lambda t: np.cosh(np.asarray(t, float)) ** 2), n=n)
-    assert r.value == pytest.approx(1.68204332003855, rel=5e-12 if n == 2000 else 1e-12)
+def _cosh2(t):
+    return np.cosh(np.asarray(t, float)) ** 2
+
+
+@pytest.mark.parametrize(
+    "solve, n",
+    [(lambda n: solve_fd(SLProblem(1.0, _cosh2), n=n), n) for n in (2000, 32000, 250000)]
+    + [(lambda n: neumann_first_nonzero_direct(_cosh2, 1.0, n=n), n)
+       for n in (20000, 100000, 250000)],
+    ids=["2000", "32000", "250000"] + [f"full_interval-{n}" for n in (20000, 100000, 250000)],
+)
+def test_fd_keeps_relative_accuracy_on_fine_grids(solve, n):
+    # the symmetrized pencil lost about eps/h^2: the mixed one was 1e-6 off at
+    # n = 32,000 and 6e-5 at 250,000, and the full-interval one lost its zero
+    # mode from n = 100,000 on.  At n = 2,000 the mixed gap, 2.8e-12, is the
+    # h^3 term of the half-cell end mass that Richardson leaves; it falls
+    # 8-fold per doubling, and with twice the h the full interval is 2.2e-11 off
+    assert solve(n).value == pytest.approx(1.68204332003855, rel=5e-12 if n == 2000 else 1e-12)
 
 
 def test_fd_tiny_eigenvalue_keeps_relative_accuracy():
@@ -315,14 +325,20 @@ def test_fd_weight_not_positive(weight):
 
 
 @pytest.mark.parametrize(
-    "problem, sweeps",
+    "solve, sweeps",
     [
-        (FLAT, 18),
-        (SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=2, kappa1=0.25), t)), 20),
+        (lambda: solve_fd(FLAT), 18),
+        (
+            lambda: solve_fd(
+                SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=2, kappa1=0.25), t))
+            ),
+            20,
+        ),
+        (lambda: neumann_first_nonzero_direct(flat, 1.0), 18),
     ],
-    ids=["flat", "regular_baseline"],
+    ids=["flat", "regular_baseline", "full_interval"],
 )
-def test_fd_sweeps_count_power_iterations(monkeypatch, problem, sweeps):
+def test_fd_sweeps_count_power_iterations(monkeypatch, solve, sweeps):
     inner = sturm_liouville._green_first
     counts = []
 
@@ -332,7 +348,7 @@ def test_fd_sweeps_count_power_iterations(monkeypatch, problem, sweeps):
         return lam, its
 
     monkeypatch.setattr(sturm_liouville, "_green_first", counted)
-    assert solve_fd(problem).sweeps == sum(counts) == sweeps
+    assert solve().sweeps == sum(counts) == sweeps
     assert len(counts) == 2
 
 
@@ -383,6 +399,15 @@ def test_neumann_direct_matches_half_interval():
     r_half = solve_fd(SLProblem(length=math.pi / 2, weight=cos_pow(2)), n=2000)
     assert r_full.value == pytest.approx(3.0, rel=1e-6)
     assert r_full.value == pytest.approx(r_half.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [8, 26, 78])
+def test_neumann_direct_weight_vanishing_at_both_ends(p):
+    # cos^p on [-pi/2, pi/2]: the first nonzero eigenvalue is p + 1.  A flux
+    # summed from the far end would carry eps * sum|y| over the tiny face
+    # weights near lo
+    r = neumann_first_nonzero_direct(cos_pow(p), math.pi / 2)
+    assert r.value == pytest.approx(p + 1.0, rel=1e-10)
 
 
 def test_neumann_direct_rejects_odd_weight():
