@@ -4,9 +4,9 @@ Each bound builds the half-interval model problem for its curvature data,
 solves it by shooting and by finite differences, records the agreement,
 and packages validity checks (maximal diameter, inradius caps) into the
 result.  Boundary-sharp diameters, where the model weight vanishes at the
-interval end, are evaluated by the limit procedure on the shooting side
-and by the endpoint-tolerant discretization on the finite-difference
-side; such results are tagged is_limit.
+interval end, are evaluated by shooting to a cut just short of the end and
+by the endpoint-tolerant discretization on the finite-difference side;
+such results are tagged is_limit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .errors import (
     InvalidDimension,
     SolverError,
 )
-from .sturm_liouville import SLProblem, eigen_limit, solve_fd, solve_shooting
+from .sturm_liouville import SLProblem, solve_fd, solve_shooting
+# unused here: only the benchmark tracer looks up bounds.eigen_limit; drop with its span
+from .sturm_liouville import eigen_limit  # noqa: F401
 
 __all__ = [
     "BoundResult",
@@ -51,8 +53,6 @@ __all__ = [
 
 # relative slack for deciding that a diameter sits exactly on its cap
 SHARP_RTOL = 1e-12
-# truncation fractions for the shooting-side limit procedure
-LIMIT_STEPS = tuple(0.04 / 2**k for k in range(6))
 
 
 @dataclass
@@ -62,6 +62,8 @@ class BoundResult:
     `fd_error` is |lam_n - lam_2n|/3, the error estimate of the coarse
     FD pair, not of the Richardson `fd_value`; it usually overstates the
     error of `fd_value` by orders of magnitude (see `_richardson`).
+    `limit_error`, for a sharp bound (`is_limit`), estimates the error of
+    the shooting cut (see `sturm_liouville.solve_shooting`); else None.
     """
 
     value: float
@@ -133,42 +135,30 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     """Run both solvers on the weight on [0, ell] and assemble a BoundResult.
 
     For order > 0 the weight vanishes at ell to that order (the sharp
-    case): the shooting value comes from the truncation-limit
-    extrapolation, finite differences solve the endpoint directly.
-    Otherwise, when ell ends within a tenth of itself of the weight's
-    validity radius `rad`, the gap grades the shooting mesh.
+    case): shooting imposes boundedness at a cut short of ell (see
+    `sturm_liouville._cut`), finite differences solve the endpoint
+    directly.  Otherwise, when ell ends within a tenth of itself of the
+    weight's validity radius `rad`, the gap grades the shooting mesh.
     """
-    sharp = order > 0
-    limit_error = None
-    if sharp:
-        def solve_at(h):
-            prob = SLProblem(length=ell * (1.0 - h), weight=weight_fn, layer=ell * h, name=name)
-            return solve_shooting(prob, tol=tol).value
-
-        shoot_val, limit_error, _ = eigen_limit(solve_at, LIMIT_STEPS, order=order)
-        shoot_resid = limit_error
-        problem = SLProblem(length=ell, weight=weight_fn, name=name)
-    else:
-        layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
-        problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name)
-        shoot = solve_shooting(problem, tol=tol)
-        shoot_val, shoot_resid = shoot.value, shoot.residual
+    layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
+    problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name, order=order)
+    shoot = solve_shooting(problem, tol=tol)
     fd = solve_fd(problem, n=n)
-    agreement = abs(shoot_val - fd.value) / max(abs(shoot_val), abs(fd.value))
-    if shoot_val <= 0:
-        raise SolverError(f"nonpositive eigenvalue {shoot_val} for {tag}")
+    agreement = abs(shoot.value - fd.value) / max(abs(shoot.value), abs(fd.value))
+    if shoot.value <= 0:
+        raise SolverError(f"nonpositive eigenvalue {shoot.value} for {tag}")
     return BoundResult(
-        value=shoot_val,
+        value=shoot.value,
         theorem_tag=tag,
         problem=problem,
-        shooting_value=shoot_val,
+        shooting_value=shoot.value,
         fd_value=fd.value,
         fd_error=fd.residual,
-        shooting_residual=shoot_resid,
+        shooting_residual=shoot.residual,
         method_agreement=agreement,
         validity=validity,
-        is_limit=sharp,
-        limit_error=limit_error,
+        is_limit=order > 0,
+        limit_error=shoot.cut_error,
     )
 
 

@@ -18,14 +18,13 @@ Two independent routes to the same eigenvalues:
     relative accuracy on fine grids and for tiny eigenvalues.
 
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
-return eigenvalues only.  neumann_first_nonzero_direct solves the
+return eigenvalues only; where the weight vanishes at ell (SLProblem.order,
+the boundary-sharp cases) shooting stops at a cut and lumps the tail into
+an end mass (see _cut).  neumann_first_nonzero_direct solves the
 full-interval Neumann problem without using any symmetry, so the
 half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
-constants.  eigen_limit
-extrapolates eigenvalues of problems whose weight vanishes at the right
-endpoint (boundary-sharp cases) from a sequence of truncated regular
-problems.
+constants.  eigen_limit extrapolates eigenvalues from truncated problems.
 """
 
 from __future__ import annotations
@@ -74,16 +73,18 @@ FD_MAX_ITERATIONS = 500
 class SLProblem:
     """The mixed problem (w phi')' = -lam*w*phi, phi(0) = 0, phi'(length) = 0.
 
-    `weight` is w(t) > 0 on [0, length].  `layer`, when set, is the
+    `weight` is w(t) > 0 on [0, length).  `layer`, when set, is the
     distance scale on which the weight varies near the right endpoint
-    (used to grade integration meshes for truncations of a weight that
-    vanishes just beyond `length`).
+    (used to grade the shooting mesh).  `order` > 0 says the weight
+    vanishes at `length` to that order: solve_shooting then cuts the
+    interval (see _cut), solve_fd ignores it.
     """
 
     length: float
     weight: Callable
     layer: float | None = None
     name: str = ""
+    order: float = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0):
@@ -94,13 +95,15 @@ class SLProblem:
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
     S(lam) evaluations of the bracket walk and brentq, or for the FD
-    solvers the power iterations over both grids."""
+    solvers the power iterations over both grids.  `cut_error`: see
+    solve_shooting."""
 
     value: float
     method: str
     residual: float
     grid_size: int
     sweeps: int
+    cut_error: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +186,18 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
     return bands
 
 
-def _shoot(table, lam):
+def _shoot(table, lam, end=False):
     """Classical RK4 sweep of the shooting system, as one banded solve.
 
     y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `table` is
-    (bands, rhs) from _Shooter.mesh: the band of _step_bands and the right
-    side (phi_0, u_0) = (0, w(0)) with zeros after it.  Forward substitution
-    in dtbtrs is the RK4 recurrence.  Returns the Neumann shooting value
-    S(lam) = u(ell), or -w(0) when any node has phi < 0 < u, so S(lam) > 0
-    exactly when lam lies below the first eigenvalue.
+    (bands, rhs, mass) from _Shooter.mesh: the band of _step_bands, the
+    right side (phi_0, u_0) = (0, w(0)) with zeros after it, and the end
+    mass of a cut (see _cut; 0 without one).  Forward substitution in dtbtrs
+    is the RK4 recurrence.  Returns S(lam) = u(b) - lam*mass*phi(b) at the
+    last node b, or -w(0) past the first eigenvalue (see below), so S(lam) > 0
+    exactly when lam lies below it; with `end`, (S(lam), phi(b)).
     """
-    bands, rhs = table
+    bands, rhs, mass = table
     # B0 + lam*(B1 + lam*B2), formed in place
     band = bands[..., 2] * lam
     band += bands[..., 1]
@@ -203,41 +207,66 @@ def _shoot(table, lam):
     if info != 0:
         raise SolverError(f"banded shooting solve failed: LAPACK info = {info}")
     phi, u = states[0::2], states[1::2]
+    s = float(u[-1]) - lam * mass * float(phi[-1])
     # u falls while phi > 0 and phi turns only after u has, so phi < 0 < u
-    # puts the Pruefer angle past 3pi/2: lam is past the first eigenvalue
-    if np.any((phi < 0.0) & (u > 0.0)):
-        return -float(rhs[1])
-    if not (math.isfinite(phi[-1]) and math.isfinite(u[-1])):
+    # puts the Pruefer angle past 3pi/2, and (with an end mass) phi(b) < 0 < S
+    # puts it in (pi, 3pi/2) at b: lam is past the first eigenvalue
+    if np.any((phi < 0.0) & (u > 0.0)) or phi[-1] < 0.0 < s:
+        s = -float(rhs[1])
+    elif not math.isfinite(s):
         raise StabilityFailure("shooting integration overflowed")
-    return float(u[-1])
+    return (s, float(phi[-1])) if end else s
 
 
 def _sweep(lam, table, svals):
-    """S(lam) for brentq, kept in svals.  The table comes in through brentq's
-    args: a closure over it would sit in the reference cycle of brentq's
+    """S(lam) for brentq, kept in svals with phi(b).  The table comes in through
+    brentq's args: a closure over it would sit in the reference cycle of brentq's
     function wrapper and keep the table alive until a cyclic collection."""
-    svals[lam] = _shoot(table, lam)
-    return svals[lam]
+    svals[lam] = _shoot(table, lam, end=True)
+    return svals[lam][0]
+
+
+def _cut(order):
+    """eps/ell of the cut short of an end where the weight vanishes to order p.
+
+    The bounded solution has u(ell) = 0, so its flux at the cut is lam int w phi
+    over the tail, lumped into the end mass w(ell - eps) eps/(p + 1), the leading
+    Frobenius term.  The mass is off by O(eps/ell) of itself and is O((eps/ell)^(p+1))
+    of the norm, so lam is off by O((eps/ell)^(p+2)): 10^(-16/(p+2)) puts that near
+    1e-16.  From p = 4 on it is 1e-3, where w(ell - eps) is about (1.6e-3)^p w(0) on
+    the model weights, a normal float up to p = 109 (1e-4 underflows at p = 98).
+    """
+    return min(1e-3, 10.0 ** (-16.0 / (order + 2.0)))
 
 
 class _Shooter:
-    """Caches one mesh and band table per resolution for repeated S(lam) sweeps."""
+    """Caches one mesh and band table per resolution for repeated S(lam) sweeps.
+
+    With `order` p > 0 the mesh ends at the cut, graded into a layer eps, with at
+    least 850 sqrt(p) uniform steps: RK4's relative error on a weight that falls
+    like a Gaussian of width ell/sqrt(p) grows like p^2 h^4 (4.9e-12 at p = 98 on
+    4,000 steps); this keeps it below 3e-13 and binds from p = 23.
+    """
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
         self._cache = {}
+        self.eps = _cut(problem.order) * problem.length if problem.order > 0 else 0.0
+        self.layer = self.eps or problem.layer
+        self.steps = int(850.0 * math.sqrt(problem.order)) if self.eps else 0
 
     def mesh(self, lam):
-        """Nodes and (bands, rhs) table resolving the phase of lam: 60 steps
-        per radian, at least 4,000."""
+        """Nodes and (bands, rhs, mass) table resolving the phase of lam: 60
+        steps per radian, at least 4,000."""
         phase = math.sqrt(max(lam, 0.0)) * self.problem.length
-        n_uniform = max(4000, int(60.0 * phase))
+        n_uniform = max(4000, int(60.0 * phase), self.steps)
         if n_uniform not in self._cache:
-            ts = _build_mesh(self.problem.length, n_uniform, self.problem.layer)
+            ts = _build_mesh(self.problem.length - self.eps, n_uniform, self.layer)
             w_nodes, w_mids = _weight_tables(self.problem, ts)
             rhs = np.zeros(2 * len(ts))
             rhs[1] = w_nodes[0]
-            self._cache[n_uniform] = (ts, (_step_bands(ts, w_nodes, w_mids), rhs))
+            mass = w_nodes[-1] * self.eps / (self.problem.order + 1.0)
+            self._cache[n_uniform] = (ts, (_step_bands(ts, w_nodes, w_mids), rhs, mass))
         return self._cache[n_uniform]
 
 
@@ -278,7 +307,12 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
     of 4 brackets the sign change of S(lam) (see _shoot), and brentq finds
     the root on the mesh of the bracket's upper end.  `tol` bounds the
     normalized residual |S(lam)/S(0)| at that root; a root that misses it
-    is a SolverError.
+    is a SolverError.  With a cut (see _cut), `cut_error` estimates the
+    cut's error from the same sweeps: the shift of lam the end mass makes,
+    lam mass phi(b)/|S'| with S' the secant to the nearest sweep 1e-8 lam or
+    more below the root, times the mass's relative error from its next
+    Frobenius terms (the weight's departure from (ell - t)^p over the last
+    cell, and phi's variation over the tail).
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -290,13 +324,24 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
     lam, root = brentq(
         _sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL, full_output=True
     )
+    s_root, phi_end = svals[lam]
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
-    resid = abs(svals[lam]) / float(table[1][1])
+    resid = abs(s_root) / float(table[1][1])
     if not resid <= tol:
         raise SolverError(f"shooting residual {resid:.3g} misses tol = {tol} at lambda = {lam}")
+    cut_error = None
+    if shooter.eps:
+        p, eps = problem.order, shooter.eps
+        r = (problem.length - ts[-2]) / eps
+        w_in, w_cut = np.asarray(problem.weight(ts[-2:]), dtype=float)
+        rel = abs(w_in / (w_cut * r**p) - 1.0) / ((r - 1.0) * (p + 2.0))
+        rel += lam * eps * eps / ((p + 1.0) * (p + 3.0))
+        near = max((v for v in svals if v <= lam * (1 - 1e-8) and svals[v][0] > 0.0), default=lo)
+        slope = (svals[near][0] - s_root) / (lam - near)
+        cut_error = rel * lam * table[2] * abs(phi_end) / slope
     return EigenResult(
         value=lam, method="shooting", residual=resid, grid_size=len(ts) - 1,
-        sweeps=sweeps + root.function_calls,
+        sweeps=sweeps + root.function_calls, cut_error=cut_error,
     )
 
 
@@ -327,7 +372,7 @@ def _green_first(weight, lo, hi, cells, free=False):
     the negative y up to it: no flux cancels, even where the weight
     vanishes at lo.  No symmetry of the weight is used.  Trailing cells whose
     weight underflows to exactly 0.0 carry no flux and no mass, and are cut
-    at the last positive face.
+    at the last positive face, as are leading ones at a free lo.
     """
     h = (hi - lo) / cells
     nodes = np.linspace(lo, hi, cells + 1)
@@ -341,14 +386,16 @@ def _green_first(weight, lo, hi, cells, free=False):
     samples[-1] = 0.5 * float(weight(hi - 0.25 * h))
     if free:
         samples[0] = 0.5 * float(weight(lo + 0.25 * h))
-    # only a tail of exact zeros, an underflow, is cut; a zero before a
-    # positive sample is outside the domain
+    # only runs of exact zeros, an underflow, at hi and at a free lo (from the
+    # node before the first positive sample) are cut; other zeros are outside
     kept = np.flatnonzero(samples != 0.0)
-    if kept.size == 0 or kept[-1] + 1 != kept.size or np.any(samples < 0.0):
+    lead = 2 * (kept[0] // 2) if free and kept.size else 0
+    if kept.size == 0 or kept[0] > lead + f or kept[-1] - kept[0] >= kept.size or np.any(samples < 0):
         raise DomainError("weight not positive on (0, ell)")
-    faces_kept = (kept.size + 1 - f) // 2
+    faces_kept = (kept[-1] + 2 - lead - f) // 2
+    samples = samples[lead:]
     w, mass = samples[f : f + 2 * faces_kept : 2], samples[1 - f : f + 2 * faces_kept : 2]
-    x = nodes[: mass.size].copy() if free else np.ones(faces_kept)
+    x = nodes[lead // 2 : lead // 2 + mass.size].copy() if free else np.ones(faces_kept)
     lam = math.inf
     # a weight that overflows, or a subnormal face under a finite flux, is a
     # solver failure, not a numpy warning
@@ -401,12 +448,17 @@ def _richardson(lam_n, lam_2n, n, sweeps):
 
 
 def _fd(weight, lo, hi, n, free=False):
-    """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps`
-    counts the power iterations over both grids."""
+    """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps` counts
+    the power iterations over both grids.  With `free` the weight must be even."""
     if n < 16:
         raise DomainError("n must be at least 16")
     if n > MAX_FD_CELLS:
         raise DomainError(f"n must be at most {MAX_FD_CELLS}")
+    if free:
+        # before either solve; a weight negative somewhere gets _green_first's message
+        w = np.asarray(weight(np.linspace(lo, hi, 2 * n + 1)[1:-1]), dtype=float)
+        if np.all(w >= 0.0) and np.abs(w - w[::-1]).max() > 1e-8 * w.max():
+            raise DomainError("weight is not even on the interval")
     lam_n, it_n = _green_first(weight, lo, hi, n, free)
     lam_2n, it_2n = _green_first(weight, lo, hi, 2 * n, free)
     return _richardson(lam_n, lam_2n, n, it_n + it_2n)
@@ -424,16 +476,12 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
     The scheme of solve_fd with the left end free as well; no symmetry of
     the weight is used, so this is an independent check of the
     half-interval reduction.  The weight must be even and positive;
-    evenness is verified on the 2n grid.
+    evenness is verified on the 2n grid before either grid is solved.
     """
     ell = half_length
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError("half_length must be positive and finite")
-    result = _fd(weight, -ell, ell, n, free=True)
-    w = np.asarray(weight(np.linspace(-ell, ell, 2 * n + 1)[1:-1]), dtype=float)
-    if np.abs(w - w[::-1]).max() / w.max() > 1e-8:
-        raise DomainError("weight is not even on the interval")
-    return result
+    return _fd(weight, -ell, ell, n, free=True)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_cli_bounds_are_traced(capsys):
 
 
 def test_sharp_bound_layers(capsys):
-    # one limit fit over six truncated shooting solves
+    # one shooting solve with the end mass at the cut, and no limit fit
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -49,8 +49,8 @@ def test_sharp_bound_layers(capsys):
         tracer.uninstall()
     capsys.readouterr()
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["sturm_liouville.eigen_limit.calls"] == 1
-    assert metrics["sturm_liouville.solve_shooting.calls"] == 6
+    assert metrics["sturm_liouville.eigen_limit.calls"] == 0
+    assert metrics["sturm_liouville.solve_shooting.calls"] == 1
 
 
 def test_regular_bound_layer_counters(capsys):

@@ -76,7 +76,7 @@ class TestShootingWork:
         "params, D, most",
         [
             (CurvatureParams(m=2, kappa1=0.25), 2.0, 20),
-            (CurvatureParams(m=2, kappa1=1.0), math.pi / 2, 120),
+            (CurvatureParams(m=2, kappa1=1.0), math.pi / 2, 20),
         ],
         ids=["regular", "kappa1_sharp"],
     )

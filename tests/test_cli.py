@@ -170,12 +170,18 @@ class TestBound:
 
 # sharp bounds whose weight vanishes to order 2m - 2 (n - 1) at the
 # endpoint: the symmetrized FD pencil lost these eigenvalues as the order
-# grew, and at m = 40 and 50 the weight underflows on the grid
+# grew, and at m = 40 and 50 the weight underflows on the grid.  The
+# kappa1-sharp rows vanish to order 1 (2m - 1 with kappa2 sharp too); the
+# truncation-limit fit left the first 4.9e-8 off
 SHARP_PI = "3.141592653589793"
 SHARP_ROWS = [
     (("kahler-neumann", "--m", str(m), "--k2", "1", "--D", SHARP_PI), 2.0 * m - 1.0)
     for m in (5, 7, 14, 20, 40, 50)
-] + [(("riemannian-neumann", "--n", "20", "--k", "1", "--D", SHARP_PI), 20.0)]
+] + [
+    (("riemannian-neumann", "--n", "20", "--k", "1", "--D", SHARP_PI), 20.0),
+    (("kahler-neumann", "--m", "2", "--k1", "1", "--D", "1.5707963267948966"), 8.0),
+    (("kahler-neumann", "--m", "3", "--k1", "0.25", "--k2", "1", "--D", SHARP_PI), 6.0),
+]
 
 
 class TestSharpRows:
@@ -188,6 +194,7 @@ class TestSharpRows:
         assert gap <= res["fd_error"] + res["shooting_residual"]
         assert res["fd_value"] == pytest.approx(exact, abs=1e-9)
         assert res["value"] == pytest.approx(exact, abs=1e-9)
+        assert abs(res["value"] - exact) <= 1e-12 * exact
 
 
 class TestTable:

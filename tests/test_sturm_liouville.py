@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from eigenbounds import sturm_liouville
 from eigenbounds.coefficients import CurvatureParams, weight_kahler, weight_riemannian
@@ -178,6 +179,68 @@ def test_shooting_leaves_no_table_alive(monkeypatch):
     finally:
         gc.enable()
     assert refs and alive == 0
+
+
+@pytest.mark.parametrize(
+    "problem, exact",
+    [
+        (SLProblem(math.pi / 4, lambda t: np.cos(2 * np.asarray(t, float)), order=1), 8.0),
+        (SLProblem(math.pi / 2, cos_pow(2), order=2), 3.0),
+        (SLProblem(math.pi / 2, cos_pow(8), order=8), 9.0),
+        (SLProblem(math.pi / 2, cos_pow(98), order=98), 99.0),
+    ],
+    ids=["p1", "p2", "p8", "p98"],
+)
+def test_shooting_cut_gives_sharp_value(problem, exact):
+    # one solve on [0, ell - eps] with the tail lumped into the end mass
+    r = solve_shooting(problem)
+    assert r.value == pytest.approx(exact, rel=1e-12)
+    assert r.sweeps <= 20
+    assert 0.0 <= r.cut_error < 1e-15 * exact
+
+
+def test_cut_keeps_weight_normal_and_error_small():
+    # the model weights fall like (1.6 eps/ell)^p at the cut: a normal float
+    # for every order of the documented domain, and a cut error (eps/ell)^(p+2)
+    # near 1e-16
+    for p in range(1, 100):
+        cut = sturm_liouville._cut(p)
+        assert math.cos(math.pi / 2 * (1.0 - cut)) ** p >= np.finfo(float).tiny
+        assert cut ** (p + 2) <= 1.1e-16
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        lambda t: np.cos(2 * np.asarray(t, float)),
+        lambda t: weight_kahler(CurvatureParams(m=3, kappa1=1.0, kappa2=-1.0), t),
+    ],
+    ids=["pure_power", "linear_term"],
+)
+def test_cut_error_estimates_the_cut(monkeypatch, weight):
+    # at a coarse cut, eps/ell = 1e-2, the cut's error is far above rounding:
+    # the estimate from the one solve is within a factor 2 of it
+    problem = SLProblem(math.pi / 4, weight, order=1)
+    reference = solve_shooting(problem).value
+    monkeypatch.setattr(sturm_liouville, "_cut", lambda order: 1e-2)
+    r = solve_shooting(problem)
+    assert 0.5 <= abs(r.value - reference) / r.cut_error <= 2.0
+
+
+def test_end_mass_sign_marks_first_eigenvalue():
+    # flat weight on [0, 1] with end mass M: the roots solve cot(k) = M k,
+    # k = sqrt(lam).  Between the second root and the angle 3pi/2 at the end,
+    # u(1) - lam M phi(1) > 0 with phi(1) < 0: S must stay negative there too
+    mass = 0.5
+    ts, (bands, rhs, _) = _Shooter(FLAT).mesh(1000.0)
+    table = (bands, rhs, mass)
+    k1 = brentq(lambda k: math.cos(k) - mass * k * math.sin(k), 0.1, math.pi / 2)
+    k2 = brentq(lambda k: math.cos(k) - mass * k * math.sin(k), math.pi, 1.5 * math.pi)
+    for lam in k1 * k1 * np.linspace(0.01, 1.0 - 1e-9, 50):
+        assert _shoot(table, float(lam)) > 0.0
+    window = np.linspace(k2 + 1e-6, 1.5 * math.pi - 1e-6, 50) ** 2
+    for lam in np.concatenate([k1 * k1 * np.linspace(1.0 + 1e-9, 40.0, 400), window]):
+        assert _shoot(table, float(lam)) <= 0.0
 
 
 def test_shooting_rejects_bad_input():
@@ -410,9 +473,33 @@ def test_neumann_direct_weight_vanishing_at_both_ends(p):
     assert r.value == pytest.approx(p + 1.0, rel=1e-10)
 
 
+def test_neumann_direct_cuts_zeros_at_both_ends():
+    # cos^98 underflows to exactly 0.0 at the free end lo as well as at hi:
+    # both runs of zeros carry no flux and no mass, and are cut
+    r = neumann_first_nonzero_direct(cos_pow(98), math.pi / 2)
+    assert r.value == pytest.approx(99.0, rel=1e-9)
+
+
 def test_neumann_direct_rejects_odd_weight():
     w = lambda t: np.exp(np.asarray(t, dtype=float))
     with pytest.raises(DomainError):
+        neumann_first_nonzero_direct(w, 1.0, n=200)
+
+
+def test_neumann_direct_checks_evenness_before_solving(monkeypatch):
+    # an uneven weight is refused before either grid is solved
+    calls = []
+    monkeypatch.setattr(sturm_liouville, "_green_first", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="not even"):
+        neumann_first_nonzero_direct(lambda t: np.exp(np.asarray(t, dtype=float)), 1.0)
+    assert calls == []
+
+
+def test_neumann_direct_weight_not_positive_keeps_its_message():
+    # a weight that is negative somewhere is refused as not positive, also
+    # where it is uneven
+    w = lambda t: np.asarray(t, dtype=float) + 0.5
+    with pytest.raises(DomainError, match=r"weight not positive on \(0, ell\)"):
         neumann_first_nonzero_direct(w, 1.0, n=200)
 
 
