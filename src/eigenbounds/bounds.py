@@ -19,23 +19,16 @@ import numpy as np
 from .coefficients import (
     CurvatureParams,
     first_zero,
+    kahler_factors,
+    riemannian_factors,
     weight_dirichlet,
-    weight_dirichlet_radius,
     weight_kahler,
-    weight_kahler_radius,
+    weight_radius,
     weight_riemannian,
     weight_riemannian_dirichlet,
-    weight_riemannian_dirichlet_radius,
-    weight_riemannian_radius,
 )
-from .errors import (
-    DiameterExceedsMaximal,
-    DomainError,
-    InradiusExceedsValidity,
-    InvalidDimension,
-    SolverError,
-)
-from .sturm_liouville import SLProblem, solve_fd, solve_shooting
+from .errors import DiameterExceedsMaximal, DomainError, InradiusExceedsValidity, SolverError
+from .sturm_liouville import SLProblem, check_length, solve_fd, solve_shooting
 # unused here: only the benchmark tracer looks up bounds.eigen_limit; drop with its span
 from .sturm_liouville import eigen_limit  # noqa: F401
 
@@ -53,6 +46,15 @@ __all__ = [
 
 # relative slack for deciding that a diameter sits exactly on its cap
 SHARP_RTOL = 1e-12
+
+# names of each family's weight factors, in the order of its factor table in
+# `coefficients`: the factor in messages, the validity record of its diameter
+# cap, and that cap in words
+KAHLER_FACTOR_NAMES = (
+    ("4*kappa1", "kappa1_diameter_cap", "kappa1 diameter cap pi/(2 sqrt(kappa1))"),
+    ("kappa2", "kappa2_diameter_cap", "kappa2 diameter cap pi/sqrt(kappa2)"),
+)
+RIEMANNIAN_FACTOR_NAMES = (("kappa", "diameter_cap", "diameter cap pi/sqrt(kappa)"),)
 
 
 @dataclass
@@ -119,16 +121,8 @@ class ComparisonReport:
         }
 
 
-def _check(name, actual, limit, ok):
-    return {"name": name, "actual": actual, "limit": limit, "ok": bool(ok)}
-
-
-def _diameter_cap(validity, name, D, cap, what):
-    """Refuse D beyond `cap`, record the check, and say whether D sits on it."""
-    if D > cap * (1.0 + SHARP_RTOL):
-        raise DiameterExceedsMaximal(f"D = {D} exceeds the {what} = {cap}")
-    validity.append(_check(name, D, cap, True))
-    return D >= cap * (1.0 - SHARP_RTOL)
+def _check(name, actual, limit):
+    return {"name": name, "actual": actual, "limit": limit, "ok": True}
 
 
 def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
@@ -162,6 +156,50 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     )
 
 
+def _neumann(factors, names, D, weight_fn, tag, name, tol, n):
+    """The Neumann model problem of a weight on [0, D/2].
+
+    Each positive-curvature factor caps D at twice its profile's first
+    zero; D beyond a cap is refused, and on a cap the bound is the sharp
+    (limit) one, of order the summed powers of the factors whose cap D
+    sits on.
+    """
+    check_length("diameter", D)
+    validity = []
+    order = 0
+    for (k, p), (_, check, what) in zip(factors, names):
+        if k > 0:
+            cap = 2.0 * first_zero(k, 0.0)
+            if D > cap * (1.0 + SHARP_RTOL):
+                raise DiameterExceedsMaximal(f"D = {D} exceeds the {what} = {cap}")
+            validity.append(_check(check, D, cap))
+            if D >= cap * (1.0 - SHARP_RTOL):
+                order += p
+    return _solve_pair(
+        weight_fn, 0.5 * D, weight_radius(factors), tag, name, validity, order, tol, n
+    )
+
+
+def _dirichlet(factors, names, lam, R, weight_fn, tag, name, tol, n):
+    """The Dirichlet model problem of a boundary weight on [0, R]; R must lie
+    strictly below the weight's validity radius."""
+    if not math.isfinite(lam):
+        raise DomainError("lambda must be finite")
+    rad = weight_radius(factors, lam)
+    if R >= rad * (1.0 - SHARP_RTOL):
+        binding = next(
+            label for (k, _), (label, _, _) in zip(factors, names)
+            if first_zero(k, lam) <= rad * (1.0 + SHARP_RTOL)
+        )
+        raise InradiusExceedsValidity(
+            f"R = {R} reaches the validity radius {rad} (first zero of the {binding} factor)"
+        )
+    return _solve_pair(
+        weight_fn, R, rad, tag, name, [_check("inradius_validity_radius", R, rad)],
+        0, tol, n,
+    )
+
+
 def kahler_neumann_bound(
     params: CurvatureParams, D: float, tol: float = 1e-10, n: int = 2000
 ) -> BoundResult:
@@ -173,24 +211,11 @@ def kahler_neumann_bound(
     when kappa2 > 0 and m >= 2.  Sitting exactly on the binding cap is the
     boundary-sharp case, evaluated as a limit.
     """
-    if not (math.isfinite(D) and D > 0):
-        raise DomainError(f"diameter must be positive and finite, got {D}")
-    validity = []
-    order = 0
-    if params.kappa1 > 0:
-        cap = math.pi / (2.0 * math.sqrt(params.kappa1))
-        what = "kappa1 diameter cap pi/(2 sqrt(kappa1))"
-        if _diameter_cap(validity, "kappa1_diameter_cap", D, cap, what):
-            order += 1
-    if params.m > 1 and params.kappa2 > 0:
-        cap = math.pi / math.sqrt(params.kappa2)
-        what = "kappa2 diameter cap pi/sqrt(kappa2)"
-        if _diameter_cap(validity, "kappa2_diameter_cap", D, cap, what):
-            order += 2 * params.m - 2
-    name = f"c(k2)^(2m-2) c(4k1) interior weight, m={params.m}, k1={params.kappa1}, k2={params.kappa2}"
-    return _solve_pair(
-        lambda t: weight_kahler(params, t), 0.5 * D, weight_kahler_radius(params),
-        "kahler_neumann", name, validity, order, tol, n,
+    return _neumann(
+        kahler_factors(params), KAHLER_FACTOR_NAMES, D, lambda t: weight_kahler(params, t),
+        "kahler_neumann",
+        f"c(k2)^(2m-2) c(4k1) interior weight, m={params.m}, k1={params.kappa1}, k2={params.kappa2}",
+        tol, n,
     )
 
 
@@ -203,23 +228,13 @@ def kahler_dirichlet_bound(
     Requires R strictly below the validity radius (smallest first zero
     among the weight factors).
     """
-    if not (math.isfinite(R) and R > 0):
-        raise DomainError(f"inradius must be positive and finite, got {R}")
-    if not math.isfinite(lam):
-        raise DomainError("lambda must be finite")
-    rad = weight_dirichlet_radius(params, lam)
-    if R >= rad * (1.0 - SHARP_RTOL):
-        binding = "4*kappa1" if first_zero(4 * params.kappa1, lam) <= rad * (1 + SHARP_RTOL) else "kappa2"
-        raise InradiusExceedsValidity(
-            f"R = {R} reaches the validity radius {rad} (first zero of the {binding} factor)"
-        )
-    name = (
+    check_length("inradius", R)
+    return _dirichlet(
+        kahler_factors(params), KAHLER_FACTOR_NAMES, lam, R,
+        lambda t: weight_dirichlet(params, lam, t), "kahler_dirichlet",
         f"C(k2,L)^(2m-2) C(4k1,L) boundary weight, m={params.m}, "
-        f"k1={params.kappa1}, k2={params.kappa2}, L={lam}"
-    )
-    return _solve_pair(
-        lambda t: weight_dirichlet(params, lam, t), R, rad, "kahler_dirichlet", name,
-        [_check("inradius_validity_radius", R, rad, True)], 0, tol, n,
+        f"k1={params.kappa1}, k2={params.kappa2}, L={lam}",
+        tol, n,
     )
 
 
@@ -232,17 +247,10 @@ def riemannian_neumann_bound(
     capped at pi/sqrt(kappa), and at the cap the bound is the sharp
     (limit) value n_dim * kappa.
     """
-    rad = weight_riemannian_radius(n_dim, kappa)  # validates n and the curvature
-    if not (math.isfinite(D) and D > 0):
-        raise DomainError(f"diameter must be positive and finite, got {D}")
-    validity = []
-    sharp = kappa > 0 and _diameter_cap(
-        validity, "diameter_cap", D, math.pi / math.sqrt(kappa), "diameter cap pi/sqrt(kappa)"
-    )
-    name = f"c(kappa)^(n-1) weight, n={n_dim}, kappa={kappa}"
-    return _solve_pair(
-        lambda t: weight_riemannian(n_dim, kappa, t), 0.5 * D, rad, "riemannian_neumann",
-        name, validity, n_dim - 1 if sharp else 0, tol, n,
+    return _neumann(
+        riemannian_factors(n_dim, kappa), RIEMANNIAN_FACTOR_NAMES, D,
+        lambda t: weight_riemannian(n_dim, kappa, t), "riemannian_neumann",
+        f"c(kappa)^(n-1) weight, n={n_dim}, kappa={kappa}", tol, n,
     )
 
 
@@ -254,18 +262,11 @@ def riemannian_dirichlet_bound(
     Model weight C_{kappa,lam}^(n-1) on [0, R]; R must lie strictly below
     the first zero of the profile.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise DomainError(f"inradius must be positive and finite, got {R}")
-    rad = weight_riemannian_dirichlet_radius(n_dim, kappa, lam)  # validates n and the curvature
-    if R >= rad * (1.0 - SHARP_RTOL):
-        raise InradiusExceedsValidity(
-            f"R = {R} reaches the first zero of the boundary profile at {rad}"
-        )
-    name = f"C(kappa,L)^(n-1) weight, n={n_dim}, kappa={kappa}, L={lam}"
-    return _solve_pair(
-        lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t), R, rad,
-        "riemannian_dirichlet", name, [_check("inradius_validity_radius", R, rad, True)],
-        0, tol, n,
+    check_length("inradius", R)
+    return _dirichlet(
+        riemannian_factors(n_dim, kappa), RIEMANNIAN_FACTOR_NAMES, lam, R,
+        lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t), "riemannian_dirichlet",
+        f"C(kappa,L)^(n-1) weight, n={n_dim}, kappa={kappa}, L={lam}", tol, n,
     )
 
 

@@ -329,22 +329,32 @@ def cmd_scan(parser, args) -> int:
     return EXIT_OK
 
 
-def _join_range_flags(argv):
-    """Merge `--range -1:2:0.5` into `--range=-1:2:0.5`.
+def _is_dash_value(tok):
+    """A token that opens with "-" but is a value: a number or a range."""
+    if not tok.startswith("-"):
+        return False
+    try:
+        float(tok)
+    except ValueError:
+        return ":" in tok
+    return True
 
-    Range strings that open with a negative bound would otherwise be
-    read as option tokens by argparse.
+
+def _join_dash_values(argv):
+    """Merge `--k1 -1e-3` into `--k1=-1e-3` and `--range -1:2:0.5` into
+    `--range=-1:2:0.5`.
+
+    argparse reads a token that opens with "-" as an option unless it
+    matches its negative-number pattern, which misses exponent notation,
+    -inf and ranges.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--range", "--D-grid") and i + 1 < len(argv) and ":" in argv[i + 1]:
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and len(prev) > 2 and "=" not in prev and _is_dash_value(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -352,7 +362,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _shared_parser()
-    args = parser.parse_args(_join_range_flags(list(argv)))
+    args = parser.parse_args(_join_dash_values(list(argv)))
     handler = {
         "bound": cmd_bound,
         "table": cmd_table,

@@ -15,11 +15,16 @@ Derived quantities:
                               y(0) = 1, y'(0) = -L (boundary-curvature profile).
     t_kappa_lambda(k, L, t) = -big_c'/big_c; drift of the boundary family.
 
-Weights are products of these factors: the interior (Neumann) weight
-c_{k2}^{2m-2} c_{4 k1} and its boundary (Dirichlet) analogue with big_c
-factors.  All functions are branch-safe in the curvature argument: near
-k = 0 the tangent and sine families switch to truncated power series in
-u = k t^2 so that values vary smoothly across the sign change.
+Each family's weight is described once, by a factor table of (curvature,
+power) pairs: (4 kappa1, 1) and (kappa2, 2m - 2) for Kahler, (kappa, n - 1)
+for Riemannian.  The interior (Neumann) weight is the product of the c_k
+factors to their powers, even in t; the boundary (Dirichlet) weight uses
+big_c(k, L) factors on t >= 0.  The validity radius is the smallest first
+zero among the factors, the drift the sum of power times tangent.
+
+All functions are branch-safe in the curvature argument: near k = 0 the
+tangent and sine families switch to truncated power series in u = k t^2 so
+that values vary smoothly across the sign change.
 
 Scalars broadcast over array `t` arguments; curvature arguments are scalars.
 Pure functions, safe for concurrent use.
@@ -27,7 +32,9 @@ Pure functions, safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +51,9 @@ __all__ = [
     "big_c_second",
     "t_kappa_lambda",
     "first_zero",
+    "kahler_factors",
+    "riemannian_factors",
+    "weight_radius",
     "drift_kahler",
     "weight_kahler",
     "weight_kahler_radius",
@@ -51,9 +61,7 @@ __all__ = [
     "weight_dirichlet",
     "weight_dirichlet_radius",
     "weight_riemannian",
-    "weight_riemannian_radius",
     "weight_riemannian_dirichlet",
-    "weight_riemannian_dirichlet_radius",
 ]
 
 # Below |k| t^2 < SERIES_THRESHOLD the tan/tanh and sin/sinh branch formulas
@@ -101,12 +109,11 @@ def t_kappa(kappa: float, t):
     """
 
     def f(arr):
-        if kappa > 0:
-            half = 0.5 * math.pi / math.sqrt(kappa)
-            if np.any(np.abs(arr) >= half):
-                raise DomainError(
-                    f"t_kappa with kappa={kappa} requires |t| < pi/(2 sqrt(kappa)) = {half}"
-                )
+        half = first_zero(kappa, 0.0)
+        if np.any(np.abs(arr) >= half):
+            raise DomainError(
+                f"t_kappa with kappa={kappa} requires |t| < pi/(2 sqrt(kappa)) = {half}"
+            )
         if kappa == 0.0:
             return np.zeros_like(arr)
         u = kappa * arr * arr
@@ -250,130 +257,90 @@ def t_kappa_lambda(kappa: float, lam: float, t):
 
 
 # ---------------------------------------------------------------------------
-# Composite drifts and weights
+# Factor tables and the weights, radii and drifts derived from them
+
+
+def kahler_factors(params: CurvatureParams) -> tuple:
+    """Factors of the Kahler weights: 4 kappa1 to the power 1 and kappa2 to
+    2m - 2 (inert, so left out, at m = 1)."""
+    if params.m == 1:
+        return ((4.0 * params.kappa1, 1),)
+    return ((4.0 * params.kappa1, 1), (params.kappa2, 2 * params.m - 2))
+
+
+def riemannian_factors(n: int, kappa: float) -> tuple:
+    """Factor of the real-dimension-n weights: kappa to the power n - 1."""
+    if n < 2 or int(n) != n:
+        raise InvalidDimension(f"real dimension n must be an integer >= 2, got {n}")
+    if not math.isfinite(kappa):
+        raise DomainError("kappa must be finite")
+    return ((kappa, n - 1),)
+
+
+def weight_radius(factors, lam: float = 0.0) -> float:
+    """Validity radius of a weight: the smallest first zero among its factors."""
+    return min(first_zero(k, lam) for k, _ in factors)
+
+
+def _weight(factors, t, lam=None):
+    """Product of the factors' profiles to their powers: c_k with lam None
+    (|t| below the radius), else big_c(k, lam) (0 <= t below the radius)."""
+    rad = weight_radius(factors, lam or 0.0)
+    profile = c_kappa if lam is None else lambda k, x: big_c(k, lam, x)
+
+    def f(arr):
+        if lam is not None and np.any(arr < 0.0):
+            raise DomainError("boundary weight requires t >= 0")
+        if np.any(np.abs(arr) >= rad):
+            raise DomainError(f"weight positive only for |t| < {rad} with factors {factors}")
+        terms = (np.asarray(profile(k, arr)) ** p for k, p in factors)
+        return functools.reduce(operator.mul, terms)
+
+    return _eval(t, f)
+
+
+def _drift(factors, t, lam=None):
+    """-(log weight)': the sum of power * tangent over the factors."""
+    tangent = t_kappa if lam is None else lambda k, x: t_kappa_lambda(k, lam, x)
+    return functools.reduce(operator.add, (p * tangent(k, t) for k, p in factors))
 
 
 def drift_kahler(params: CurvatureParams, t):
-    """Interior drift 2(m-1) t_kappa(kappa2, t) + t_kappa(4 kappa1, t)."""
-    out = t_kappa(4.0 * params.kappa1, t)
-    if params.m > 1:
-        out = out + 2.0 * (params.m - 1) * t_kappa(params.kappa2, t)
-    return out
+    """Interior drift t_kappa(4 kappa1, t) + 2(m-1) t_kappa(kappa2, t)."""
+    return _drift(kahler_factors(params), t)
 
 
 def weight_kahler_radius(params: CurvatureParams) -> float:
     """Positivity radius of the interior weight (half the maximal diameter)."""
-    rad = math.inf
-    if params.kappa1 > 0:
-        rad = 0.25 * math.pi / math.sqrt(params.kappa1)
-    if params.m > 1 and params.kappa2 > 0:
-        rad = min(rad, 0.5 * math.pi / math.sqrt(params.kappa2))
-    return rad
+    return weight_radius(kahler_factors(params))
 
 
 def weight_kahler(params: CurvatureParams, t):
-    """Interior weight c_{kappa2}^{2m-2} c_{4 kappa1}; positive inside its radius.
-
-    The logarithmic derivative is -drift_kahler.  Raises DomainError where
-    either factor is non-positive.
-    """
-    rad = weight_kahler_radius(params)
-
-    def f(arr):
-        if np.any(np.abs(arr) >= rad):
-            raise DomainError(
-                f"weight_kahler positive only for |t| < {rad} with parameters {params}"
-            )
-        out = np.asarray(c_kappa(4.0 * params.kappa1, arr))
-        if params.m > 1:
-            out = out * np.asarray(c_kappa(params.kappa2, arr)) ** (2 * params.m - 2)
-        return out
-
-    return _eval(t, f)
+    """Interior weight c_{4 kappa1} c_{kappa2}^{2m-2}; log-derivative -drift_kahler."""
+    return _weight(kahler_factors(params), t)
 
 
 def drift_dirichlet(params: CurvatureParams, lam: float, t):
-    """Boundary drift 2(m-1) t_kappa_lambda(kappa2, lam, t) + t_kappa_lambda(4 kappa1, lam, t)."""
-    out = t_kappa_lambda(4.0 * params.kappa1, lam, t)
-    if params.m > 1:
-        out = out + 2.0 * (params.m - 1) * t_kappa_lambda(params.kappa2, lam, t)
-    return out
+    """Boundary drift t_kappa_lambda(4 kappa1, lam, t) + 2(m-1) t_kappa_lambda(kappa2, lam, t)."""
+    return _drift(kahler_factors(params), t, lam)
 
 
 def weight_dirichlet_radius(params: CurvatureParams, lam: float) -> float:
     """Validity radius of the boundary weight: smallest first zero among factors."""
-    rad = first_zero(4.0 * params.kappa1, lam)
-    if params.m > 1:
-        rad = min(rad, first_zero(params.kappa2, lam))
-    return rad
+    return weight_radius(kahler_factors(params), lam)
 
 
 def weight_dirichlet(params: CurvatureParams, lam: float, t):
-    """Boundary weight big_c_{kappa2}^{2m-2} big_c_{4 kappa1}; lam = 0 recovers weight_kahler.
-
-    Defined for 0 <= t < weight_dirichlet_radius; log-derivative is
-    -drift_dirichlet.
-    """
-    rad = weight_dirichlet_radius(params, lam)
-
-    def f(arr):
-        if np.any(arr < 0.0):
-            raise DomainError("weight_dirichlet requires t >= 0")
-        if np.any(arr >= rad):
-            raise DomainError(
-                f"weight_dirichlet positive only for t < {rad} with parameters {params}, lam={lam}"
-            )
-        out = np.asarray(big_c(4.0 * params.kappa1, lam, arr))
-        if params.m > 1:
-            out = out * np.asarray(big_c(params.kappa2, lam, arr)) ** (2 * params.m - 2)
-        return out
-
-    return _eval(t, f)
-
-
-def _check_real_data(n: int, curvatures: dict):
-    if n < 2 or int(n) != n:
-        raise InvalidDimension(f"real dimension n must be an integer >= 2, got {n}")
-    for name, value in curvatures.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite")
-
-
-def weight_riemannian_radius(n: int, kappa: float) -> float:
-    """Positivity radius of c_kappa^{n-1}."""
-    _check_real_data(n, {"kappa": kappa})
-    if kappa > 0:
-        return 0.5 * math.pi / math.sqrt(kappa)
-    return math.inf
+    """Boundary weight big_c_{4 kappa1} big_c_{kappa2}^{2m-2} on [0, radius); lam = 0
+    recovers weight_kahler, and the log-derivative is -drift_dirichlet."""
+    return _weight(kahler_factors(params), t, lam)
 
 
 def weight_riemannian(n: int, kappa: float, t):
     """Real-dimension-n interior weight c_kappa^{n-1}."""
-    rad = weight_riemannian_radius(n, kappa)
-
-    def f(arr):
-        if np.any(np.abs(arr) >= rad):
-            raise DomainError(f"weight positive only for |t| < {rad} with kappa={kappa}")
-        return np.asarray(c_kappa(kappa, arr)) ** (n - 1)
-
-    return _eval(t, f)
-
-
-def weight_riemannian_dirichlet_radius(n: int, kappa: float, lam: float) -> float:
-    """Validity radius of big_c^{n-1}: the first zero of the profile."""
-    _check_real_data(n, {"kappa": kappa, "lambda": lam})
-    return first_zero(kappa, lam)
+    return _weight(riemannian_factors(n, kappa), t)
 
 
 def weight_riemannian_dirichlet(n: int, kappa: float, lam: float, t):
     """Real-dimension-n boundary weight big_c_{kappa,lam}^{n-1} on [0, first_zero)."""
-    rad = first_zero(kappa, lam)
-
-    def f(arr):
-        if np.any(arr < 0.0):
-            raise DomainError("boundary weight requires t >= 0")
-        if np.any(arr >= rad):
-            raise DomainError(f"weight positive only for t < {rad} (kappa={kappa}, lam={lam})")
-        return np.asarray(big_c(kappa, lam, arr)) ** (n - 1)
-
-    return _eval(t, f)
+    return _weight(riemannian_factors(n, kappa), t, lam)

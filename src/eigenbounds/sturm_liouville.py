@@ -24,7 +24,9 @@ an end mass (see _cut).  neumann_first_nonzero_direct solves the
 full-interval Neumann problem without using any symmetry, so the
 half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
-constants.  eigen_limit extrapolates eigenvalues from truncated problems.
+constants.  eigen_limit extrapolates eigenvalues from truncated problems;
+no bound calls it, and it stays only because the benchmark tracer looks up
+bounds.eigen_limit, until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "rayleigh_quotient",
     "neumann_first_nonzero_direct",
     "eigen_limit",
+    "check_length",
 ]
 
 # the shooting solver looks for the first eigenvalue in
@@ -67,6 +70,19 @@ MAX_FD_CELLS = 1_000_000
 # relative, and fails after FD_MAX_ITERATIONS
 FD_RTOL = 1e-14
 FD_MAX_ITERATIONS = 500
+# shortest interval solved: the scan ceiling SCAN_CEIL_FACTOR/ell^2 of the
+# first eigenvalue overflows below ell = 7.5e-153
+MIN_LENGTH = 1e-152
+
+
+def check_length(what, ell):
+    """Refuse a length that is not finite, or below MIN_LENGTH."""
+    if not (math.isfinite(ell) and ell > 0):
+        raise DomainError(f"{what} must be positive and finite, got {ell}")
+    if ell < MIN_LENGTH:
+        raise DomainError(
+            f"{what} must be at least {MIN_LENGTH} (eigenvalues scale like 1/length^2), got {ell}"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,8 +103,7 @@ class SLProblem:
     order: float = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0):
-            raise DomainError(f"interval length must be positive and finite, got {self.length}")
+        check_length("interval length", self.length)
 
 
 @dataclass
@@ -165,12 +180,12 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
     the sweep through it would overflow.
     """
     h = np.diff(ts)
-    h2 = h * h
     w0, wm, w1 = w_nodes[:-1], w_mids, w_nodes[1:]
     bands = np.zeros((4, 2 * len(ts), 3), order="F")
     # columns of phi_k and u_k for k < n; the last node couples to nothing
     phi_col, u_col = slice(0, -2, 2), slice(1, -2, 2)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h2 = h * h
         bands[2, phi_col, 0] = -1.0
         bands[2, phi_col, 1] = h2 / 6.0 * (w0 / wm + 1.0 + wm / w1)
         bands[2, phi_col, 2] = -h2 * h2 * w0 / (24.0 * w1)
@@ -478,10 +493,8 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
     half-interval reduction.  The weight must be even and positive;
     evenness is verified on the 2n grid before either grid is solved.
     """
-    ell = half_length
-    if not (math.isfinite(ell) and ell > 0):
-        raise DomainError("half_length must be positive and finite")
-    return _fd(weight, -ell, ell, n, free=True)
+    check_length("half_length", half_length)
+    return _fd(weight, -half_length, half_length, n, free=True)
 
 
 # ---------------------------------------------------------------------------

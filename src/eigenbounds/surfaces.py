@@ -31,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import dijkstra  # noqa: F401
 
 from .bounds import kahler_neumann_bound
-from .coefficients import CurvatureParams
+from .coefficients import CurvatureParams, weight_kahler_radius
 from .errors import ProfileError, SolverError
 
 __all__ = [
@@ -391,15 +391,14 @@ def comparison_check(
     est = surface_diameter_upper(profile)
     warnings = []
     d_used = est.value
-    if kappa1 > 0:
-        cap = math.pi / (2.0 * math.sqrt(kappa1))
-        if d_used > cap:
-            warnings.append(
-                f"diameter overestimate {d_used:.6f} clamped to the validity cap {cap:.6f}"
-            )
-            d_used = cap
-    spec = surface_eigen(profile, modes=modes, n=n)
     params = CurvatureParams(m=1, kappa1=kappa1, kappa2=0.0)
+    cap = 2.0 * weight_kahler_radius(params)
+    if d_used > cap:
+        warnings.append(
+            f"diameter overestimate {d_used:.6f} clamped to the validity cap {cap:.6f}"
+        )
+        d_used = cap
+    spec = surface_eigen(profile, modes=modes, n=n)
     bound = kahler_neumann_bound(params, d_used, tol=tol, n=grid)
     bound_error = bound.value * bound.method_agreement
     if bound.limit_error is not None:

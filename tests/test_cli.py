@@ -106,6 +106,16 @@ class TestBound:
             capsys, "bound", "kahler-dirichlet", "--m", "2", "--k1", "1", "--R", "1"
         )
         assert code == 2 and "validity radius" in err
+        assert "(first zero of the 4*kappa1 factor)" in err
+        # the Riemannian violation names its factor too
+        code, _, err = run_cli(
+            capsys, "bound", "riemannian-dirichlet", "--n", "3", "--k", "1", "--R", "2"
+        )
+        assert code == 2
+        assert err == (
+            "eigenbounds: validity: R = 2.0 reaches the validity radius 1.5707963267948966 "
+            "(first zero of the kappa factor)\n"
+        )
 
     def test_missing_required_flag_is_usage(self, capsys):
         with pytest.raises(SystemExit) as ei:
@@ -118,6 +128,10 @@ class TestBound:
         )
         assert code == 2 and out == ""
         assert err == "eigenbounds: validity: kappa must be finite\n"
+        # argparse's negative-number pattern misses -inf
+        code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--k1", "-inf", "--D", "1")
+        assert code == 2 and out == ""
+        assert err == "eigenbounds: validity: kappa1 must be finite\n"
 
     def test_m40_sharp_bound_returns_closed_form(self, capsys):
         # the m = 40 weight c^78 is subnormal near the sharp endpoint; both
@@ -147,6 +161,47 @@ class TestBound:
         )
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
+        # at D = 1e300 the squared mesh widths overflow too
+        code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--m", "2", "--D", "1e300")
+        assert code == 1 and out == ""
+        assert err == "eigenbounds: solver: shooting integration overflowed\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("kahler-neumann", "--m", "2", "--D", "1e-300"),
+            ("kahler-neumann", "--m", "2", "--D", "1e-160"),
+            ("kahler-neumann", "--m", "2", "--D", "1e-155"),
+            ("kahler-dirichlet", "--m", "2", "--lambda", "1e300", "--R", "1e-301"),
+            ("kahler-dirichlet", "--m", "2", "--R", "1e-160"),
+            ("riemannian-neumann", "--n", "3", "--D", "1e-160"),
+            ("riemannian-dirichlet", "--n", "3", "--R", "1e-160"),
+        ],
+        ids=" ".join,
+    )
+    def test_tiny_interval_exits_2(self, capsys, argv):
+        # the eigenvalue scale 1/length^2 overflows: refused in one line
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: validity:")
+        assert "must be at least 1e-152" in err
+
+    def test_tiny_interval_floor_keeps_values(self, capsys):
+        # D = 1e-150 still solves, on the flat closed form pi^2 / D^2
+        code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--m", "2", "--D", "1e-150")
+        assert code == 0 and err == ""
+        fd_value = parse_json(out)["results"]["fd_value"]
+        assert fd_value == pytest.approx(math.pi**2 * 1e300, rel=1e-12)
+
+    def test_negative_exponent_flag_is_a_value(self, capsys):
+        # argparse's negative-number pattern misses exponent notation
+        decimal = run_cli(capsys, "bound", "kahler-neumann", "--k1", "-0.001", "--D", "1")
+        assert decimal[0] == 0
+        assert run_cli(capsys, "bound", "kahler-neumann", "--k1", "-1e-3", "--D", "1") == decimal
+        code, out, _ = run_cli(
+            capsys, "bound", "kahler-dirichlet", "--m", "2", "--lambda", "-5e-05", "--R", "0.5"
+        )
+        assert code == 0 and parse_json(out)["inputs"]["lambda"] == -5e-05
 
     @pytest.mark.parametrize(
         "case", GOLDEN,

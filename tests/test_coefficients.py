@@ -110,6 +110,13 @@ def test_radii():
     # m = 1 ignores kappa2 in the radius
     p1 = CurvatureParams(m=1, kappa1=1.0, kappa2=100.0)
     assert weight_kahler_radius(p1) == pytest.approx(math.pi / 4)
+    # a diameter cap is twice its factor's first zero, equal to the closed
+    # form to the last bit
+    for k in (1e-300, 1e-8, 0.1, 0.25, 1.0, 2.0, 3.7, 1e8, 1e300):
+        assert 2.0 * first_zero(4.0 * k, 0.0) == math.pi / (2.0 * math.sqrt(k))
+        assert 2.0 * first_zero(k, 0.0) == math.pi / math.sqrt(k)
+        params = CurvatureParams(m=1, kappa1=k, kappa2=0.0)
+        assert 2.0 * weight_kahler_radius(params) == math.pi / (2.0 * math.sqrt(k))
 
 
 # --- domain errors ---------------------------------------------------------
@@ -148,6 +155,8 @@ def test_dimension_validation():
         CurvatureParams(m=0, kappa1=1.0, kappa2=0.0)
     with pytest.raises(InvalidDimension):
         weight_riemannian(1, 1.0, 0.1)
+    with pytest.raises(InvalidDimension):
+        weight_riemannian_dirichlet(1, 0.0, 0.0, 0.1)
     with pytest.raises(DomainError):
         CurvatureParams(m=2, kappa1=math.nan, kappa2=0.0)
 
