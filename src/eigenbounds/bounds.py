@@ -27,7 +27,7 @@ from .coefficients import (
     weight_riemannian,
     weight_riemannian_dirichlet,
 )
-from .errors import DiameterExceedsMaximal, DomainError, InradiusExceedsValidity, SolverError
+from .errors import DiameterExceedsMaximal, DomainError, InradiusExceedsValidity, NotDecreasing
 from .sturm_liouville import SLProblem, check_length, solve_fd, solve_shooting
 # unused here: only the benchmark tracer looks up bounds.eigen_limit; drop with its span
 from .sturm_liouville import eigen_limit  # noqa: F401
@@ -125,7 +125,7 @@ def _check(name, actual, limit):
     return {"name": name, "actual": actual, "limit": limit, "ok": True}
 
 
-def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
+def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, n):
     """Run both solvers on the weight on [0, ell] and assemble a BoundResult.
 
     For order > 0 the weight vanishes at ell to that order (the sharp
@@ -136,11 +136,9 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     """
     layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
     problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name, order=order)
-    shoot = solve_shooting(problem, tol=tol)
+    shoot = solve_shooting(problem)
     fd = solve_fd(problem, n=n)
     agreement = abs(shoot.value - fd.value) / max(abs(shoot.value), abs(fd.value))
-    if shoot.value <= 0:
-        raise SolverError(f"nonpositive eigenvalue {shoot.value} for {tag}")
     return BoundResult(
         value=shoot.value,
         theorem_tag=tag,
@@ -156,7 +154,7 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, tol, n):
     )
 
 
-def _neumann(factors, names, D, weight_fn, tag, name, tol, n):
+def _neumann(factors, names, D, weight_fn, tag, name, n):
     """The Neumann model problem of a weight on [0, D/2].
 
     Each positive-curvature factor caps D at twice its profile's first
@@ -175,12 +173,10 @@ def _neumann(factors, names, D, weight_fn, tag, name, tol, n):
             validity.append(_check(check, D, cap))
             if D >= cap * (1.0 - SHARP_RTOL):
                 order += p
-    return _solve_pair(
-        weight_fn, 0.5 * D, weight_radius(factors), tag, name, validity, order, tol, n
-    )
+    return _solve_pair(weight_fn, 0.5 * D, weight_radius(factors), tag, name, validity, order, n)
 
 
-def _dirichlet(factors, names, lam, R, weight_fn, tag, name, tol, n):
+def _dirichlet(factors, names, lam, R, weight_fn, tag, name, n):
     """The Dirichlet model problem of a boundary weight on [0, R]; R must lie
     strictly below the weight's validity radius."""
     if not math.isfinite(lam):
@@ -195,14 +191,11 @@ def _dirichlet(factors, names, lam, R, weight_fn, tag, name, tol, n):
             f"R = {R} reaches the validity radius {rad} (first zero of the {binding} factor)"
         )
     return _solve_pair(
-        weight_fn, R, rad, tag, name, [_check("inradius_validity_radius", R, rad)],
-        0, tol, n,
+        weight_fn, R, rad, tag, name, [_check("inradius_validity_radius", R, rad)], 0, n
     )
 
 
-def kahler_neumann_bound(
-    params: CurvatureParams, D: float, tol: float = 1e-10, n: int = 2000
-) -> BoundResult:
+def kahler_neumann_bound(params: CurvatureParams, D: float, n: int = 2000) -> BoundResult:
     """Lower bound for the first nonzero Neumann eigenvalue, diameter D.
 
     Model problem: mixed eigenvalue of the interior weight on [0, D/2]
@@ -215,12 +208,12 @@ def kahler_neumann_bound(
         kahler_factors(params), KAHLER_FACTOR_NAMES, D, lambda t: weight_kahler(params, t),
         "kahler_neumann",
         f"c(k2)^(2m-2) c(4k1) interior weight, m={params.m}, k1={params.kappa1}, k2={params.kappa2}",
-        tol, n,
+        n,
     )
 
 
 def kahler_dirichlet_bound(
-    params: CurvatureParams, lam: float, R: float, tol: float = 1e-10, n: int = 2000
+    params: CurvatureParams, lam: float, R: float, n: int = 2000
 ) -> BoundResult:
     """Lower bound for the first Dirichlet eigenvalue, inradius R.
 
@@ -234,13 +227,11 @@ def kahler_dirichlet_bound(
         lambda t: weight_dirichlet(params, lam, t), "kahler_dirichlet",
         f"C(k2,L)^(2m-2) C(4k1,L) boundary weight, m={params.m}, "
         f"k1={params.kappa1}, k2={params.kappa2}, L={lam}",
-        tol, n,
+        n,
     )
 
 
-def riemannian_neumann_bound(
-    n_dim: int, kappa: float, D: float, tol: float = 1e-10, n: int = 2000
-) -> BoundResult:
+def riemannian_neumann_bound(n_dim: int, kappa: float, D: float, n: int = 2000) -> BoundResult:
     """Riemannian first-nonzero-Neumann lower bound, dimension n_dim.
 
     Model weight c_kappa^(n-1) on [0, D/2]; for kappa > 0 the diameter is
@@ -250,12 +241,12 @@ def riemannian_neumann_bound(
     return _neumann(
         riemannian_factors(n_dim, kappa), RIEMANNIAN_FACTOR_NAMES, D,
         lambda t: weight_riemannian(n_dim, kappa, t), "riemannian_neumann",
-        f"c(kappa)^(n-1) weight, n={n_dim}, kappa={kappa}", tol, n,
+        f"c(kappa)^(n-1) weight, n={n_dim}, kappa={kappa}", n,
     )
 
 
 def riemannian_dirichlet_bound(
-    n_dim: int, kappa: float, lam: float, R: float, tol: float = 1e-10, n: int = 2000
+    n_dim: int, kappa: float, lam: float, R: float, n: int = 2000
 ) -> BoundResult:
     """Riemannian first-Dirichlet lower bound, inradius R.
 
@@ -266,11 +257,11 @@ def riemannian_dirichlet_bound(
     return _dirichlet(
         riemannian_factors(n_dim, kappa), RIEMANNIAN_FACTOR_NAMES, lam, R,
         lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t), "riemannian_dirichlet",
-        f"C(kappa,L)^(n-1) weight, n={n_dim}, kappa={kappa}, L={lam}", tol, n,
+        f"C(kappa,L)^(n-1) weight, n={n_dim}, kappa={kappa}, L={lam}", n,
     )
 
 
-def lichnerowicz_comparison(params: CurvatureParams, D: float, **kw) -> ComparisonReport:
+def lichnerowicz_comparison(params: CurvatureParams, D: float, n: int = 2000) -> ComparisonReport:
     """Compare the diameter-refined bound against the dimension-free 8*kappa1.
 
     Valid for kappa1 > 0, kappa2 >= 0.  The margin is zero at the maximal
@@ -280,7 +271,7 @@ def lichnerowicz_comparison(params: CurvatureParams, D: float, **kw) -> Comparis
         raise DomainError("comparison requires kappa1 > 0")
     if params.kappa2 < 0:
         raise DomainError("comparison requires kappa2 >= 0")
-    bound = kahler_neumann_bound(params, D, **kw)
+    bound = kahler_neumann_bound(params, D, n=n)
     ref = 8.0 * params.kappa1
     return ComparisonReport(
         bound=bound,
@@ -290,8 +281,8 @@ def lichnerowicz_comparison(params: CurvatureParams, D: float, **kw) -> Comparis
     )
 
 
-def explicit_bound_table(ms=(1, 2, 3, 5), tol: float = 1e-10, n: int = 2000) -> list:
-    """The three explicit-value rows, for each complex dimension in ms.
+def explicit_bound_table(n: int = 2000) -> list:
+    """The three explicit-value rows, for complex dimensions m = 1, 2, 3, 5.
 
     Rows: flat (kappa1 = kappa2 = 0, D = 1, expected pi^2), the kappa1-sharp
     row (kappa1 = 1 at maximal diameter pi/2, expected 8), and the
@@ -304,13 +295,11 @@ def explicit_bound_table(ms=(1, 2, 3, 5), tol: float = 1e-10, n: int = 2000) -> 
         # kappa2 is inert at m = 1 and the weight ignores m when kappa2 = 0
         key = (k1, None, D) if (m == 1 or k2 == 0.0) else (k1, k2, m, D)
         if key not in cache:
-            cache[key] = kahler_neumann_bound(
-                CurvatureParams(m=m, kappa1=k1, kappa2=k2), D, tol=tol, n=n
-            )
+            cache[key] = kahler_neumann_bound(CurvatureParams(m=m, kappa1=k1, kappa2=k2), D, n=n)
         return cache[key]
 
     rows = []
-    for m in ms:
+    for m in (1, 2, 3, 5):
         cases = [
             ("flat", 0.0, 0.0, 1.0, math.pi**2),
             ("kappa1_sharp", 1.0, 0.0, math.pi / 2, 8.0),
@@ -335,16 +324,17 @@ def explicit_bound_table(ms=(1, 2, 3, 5), tol: float = 1e-10, n: int = 2000) -> 
     return rows
 
 
-def monotonicity_scan(params: CurvatureParams, D_grid, tol: float = 1e-10, n: int = 2000) -> list:
-    """Bound values over an increasing diameter grid; asserts strict decrease."""
+def monotonicity_scan(params: CurvatureParams, D_grid, n: int = 2000) -> list:
+    """Bound values over an increasing diameter grid; a value that fails to
+    decrease strictly raises NotDecreasing."""
     grid = [float(d) for d in D_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("diameter grid must be strictly increasing")
     rows = []
     for D in grid:
-        b = kahler_neumann_bound(params, D, tol=tol, n=n)
+        b = kahler_neumann_bound(params, D, n=n)
         rows.append({"D": D, "value": b.value, "method_agreement": b.method_agreement})
     values = [r["value"] for r in rows]
     if len(values) > 1 and any(b >= a for a, b in zip(values, values[1:])):
-        raise SolverError("bound failed to decrease strictly along the diameter grid")
+        raise NotDecreasing("bound failed to decrease strictly along the diameter grid")
     return rows

@@ -55,19 +55,19 @@ def _params(a):
 FAMILIES = {
     "kahler-neumann": (
         ("m", "k1", "k2", "D"),
-        lambda a: kahler_neumann_bound(_params(a), a.D, tol=a.tol, n=a.grid),
+        lambda a: kahler_neumann_bound(_params(a), a.D, n=a.grid),
     ),
     "kahler-dirichlet": (
         ("m", "k1", "k2", "lambda", "R"),
-        lambda a: kahler_dirichlet_bound(_params(a), a.lam, a.R, tol=a.tol, n=a.grid),
+        lambda a: kahler_dirichlet_bound(_params(a), a.lam, a.R, n=a.grid),
     ),
     "riemannian-neumann": (
         ("n", "k", "D"),
-        lambda a: riemannian_neumann_bound(a.n, a.k, a.D, tol=a.tol, n=a.grid),
+        lambda a: riemannian_neumann_bound(a.n, a.k, a.D, n=a.grid),
     ),
     "riemannian-dirichlet": (
         ("n", "k", "lambda", "R"),
-        lambda a: riemannian_dirichlet_bound(a.n, a.k, a.lam, a.R, tol=a.tol, n=a.grid),
+        lambda a: riemannian_dirichlet_bound(a.n, a.k, a.lam, a.R, n=a.grid),
     ),
 }
 
@@ -120,7 +120,6 @@ def nonnegative_int(text):
 
 
 def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
     p.add_argument("--grid", type=int, default=2000, help="finite-difference grid size")
 
 
@@ -211,7 +210,7 @@ def cmd_bound(parser, args) -> int:
     if getattr(args, _attr(flags[-1])) is None:
         parser.error(f"bound {fam} requires --{flags[-1]}")
     res = solve(args)
-    inputs = {f: getattr(args, _attr(f)) for f in (*flags, "tol", "grid")}
+    inputs = {f: getattr(args, _attr(f)) for f in (*flags, "grid")}
     _emit(
         args, f"bound {fam}", inputs, res.to_dict(), res.warnings,
         ["family", "value", "shooting_value", "fd_value", "fd_error", "method_agreement",
@@ -224,9 +223,9 @@ def cmd_bound(parser, args) -> int:
 
 def cmd_table(parser, args) -> int:
     if args.name == "prop13":
-        rows = explicit_bound_table(tol=args.tol, n=args.grid)
+        rows = explicit_bound_table(n=args.grid)
         dev = max(abs(r["ratio"] - 1.0) for r in rows)
-        inputs = {"tol": args.tol, "grid": args.grid}
+        inputs = {"grid": args.grid}
         results = {"rows": rows, "max_ratio_deviation": dev, "tolerance": 1e-6}
         warnings = [] if dev <= 1e-6 else [f"ratio deviation {dev:.3e} exceeds 1e-6"]
         header = ["case", "m", "kappa1", "kappa2", "D", "expected", "computed", "ratio"]
@@ -244,7 +243,7 @@ def cmd_table(parser, args) -> int:
         warnings = []
         worst = None
         for D in grid:
-            rep = lichnerowicz_comparison(params, D, tol=args.tol, n=args.grid)
+            rep = lichnerowicz_comparison(params, D, n=args.grid)
             slack = 1e-9 + rep.bound.value * rep.bound.method_agreement
             rows.append(
                 {
@@ -258,8 +257,7 @@ def cmd_table(parser, args) -> int:
             short = rep.margin + slack
             worst = short if worst is None else min(worst, short)
         inputs = {
-            "m": args.m, "k1": args.k1, "k2": args.k2, "D_grid": args.D_grid,
-            "tol": args.tol, "grid": args.grid,
+            "m": args.m, "k1": args.k1, "k2": args.k2, "D_grid": args.D_grid, "grid": args.grid,
         }
         results = {"rows": rows, "worst_margin_with_slack": worst}
         if worst < 0:
@@ -272,8 +270,8 @@ def cmd_table(parser, args) -> int:
 
 
 def cmd_verify(parser, args) -> int:
-    result = run_suite(args.suite, seed=args.seed, tol=args.tol, grid=args.grid)
-    inputs = {"suite": args.suite, "seed": args.seed, "tol": args.tol, "grid": args.grid}
+    result = run_suite(args.suite, seed=args.seed, grid=args.grid)
+    inputs = {"suite": args.suite, "seed": args.seed, "grid": args.grid}
     if result.series:
         header = ["flow", "t", "oscillation"]
         rows = [
@@ -320,7 +318,7 @@ def cmd_scan(parser, args) -> int:
             raise SolverError("bound failed to decrease strictly along the diameter scan")
     inputs = {
         "param": name, "range": args.rng, "m": args.m, "k1": args.k1, "k2": args.k2,
-        "D": args.D, "lambda": args.lam, "R": args.R, "tol": args.tol, "grid": args.grid,
+        "D": args.D, "lambda": args.lam, "R": args.R, "grid": args.grid,
     }
     _emit(
         args, "scan", inputs, {"rows": rows}, warnings, [name, "value", "method_agreement"],

@@ -41,6 +41,10 @@ class ZeroDenominator(SolverError):
     """Rayleigh quotient denominator below machine threshold."""
 
 
+class NotDecreasing(SolverError):
+    """Bound values failed to decrease strictly along a diameter grid."""
+
+
 class StabilityFailure(SolverError):
     """Time-step control could not satisfy the stability constraint."""
 

@@ -40,6 +40,7 @@ __all__ = [
 
 # rms residual of the log-oscillation fit above which the fit is rejected
 FIT_RESIDUAL_MAX = 1e-3
+HYPOTHESIS_RTOL = 1e-4  # relative slack of the envelope check's hypotheses
 
 # fraction of the diffusion / transport stability limits actually used
 CFL_SAFETY = 0.4
@@ -279,7 +280,6 @@ def modulus_envelope_check(
     result: FlowResult,
     envelope: Callable,
     tol: float = 1e-6,
-    hyp_rtol: float = 1e-4,
 ) -> EnvelopeReport:
     """Compare the trajectory's modulus of continuity against a barrier.
 
@@ -321,8 +321,8 @@ def modulus_envelope_check(
     max_violation = float(np.max(viol))
 
     ok = (
-        supersolution_margin >= -hyp_rtol * hyp_scale
-        and monotone_margin >= -hyp_rtol
+        supersolution_margin >= -HYPOTHESIS_RTOL * hyp_scale
+        and monotone_margin >= -HYPOTHESIS_RTOL
         and initial_violation <= tol
         and max_violation <= tol
     )

@@ -20,7 +20,9 @@ Two independent routes to the same eigenvalues:
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only; where the weight vanishes at ell (SLProblem.order,
 the boundary-sharp cases) shooting stops at a cut and lumps the tail into
-an end mass (see _cut).  neumann_first_nonzero_direct solves the
+an end mass (see _cut).  Both work at a power-of-two length scale (see
+_Shooter), and an eigenvalue that is not a normal float is a SolverError.
+neumann_first_nonzero_direct solves the
 full-interval Neumann problem without using any symmetry, so the
 half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
@@ -62,6 +64,7 @@ SCAN_FLOOR_FACTOR = 1e-2
 SCAN_CEIL_FACTOR = 1e4
 # relative tolerance of the shooting root
 ROOT_RTOL = 1e-14
+RESIDUAL_MAX = 1e-10  # largest normalized residual |S(lam)/S(0)| accepted at the root
 # FD cells per grid.  The cumulative sums keep relative accuracy on fine
 # grids, so the cap bounds memory and time: n = 10^6 takes about 170 MB and
 # 0.7 to 0.9 s on a 2-core VM, in either FD solver
@@ -70,8 +73,8 @@ MAX_FD_CELLS = 1_000_000
 # relative, and fails after FD_MAX_ITERATIONS
 FD_RTOL = 1e-14
 FD_MAX_ITERATIONS = 500
-# shortest interval solved: the scan ceiling SCAN_CEIL_FACTOR/ell^2 of the
-# first eigenvalue overflows below ell = 7.5e-153
+# shortest interval solved: the first eigenvalue, about 1/ell^2, overflows
+# near ell = 1e-154
 MIN_LENGTH = 1e-152
 
 
@@ -146,14 +149,26 @@ def _build_mesh(ell: float, n_uniform: int, layer: float | None) -> np.ndarray:
 
 
 def _weight_tables(problem: SLProblem, ts: np.ndarray):
+    """The weight at the nodes `ts` and the cell midpoints, up to the last
+    node before a trailing run of samples below the smallest normal float:
+    the weight has underflowed there, and the caller ends the mesh at
+    len(w_nodes) nodes.  A sample <= 0 before that run, or < 0 in it, is a
+    DomainError."""
     mids = 0.5 * (ts[:-1] + ts[1:])
     # a weight that grows like exp(a*t) overflows on a long interval; that
     # is a solver failure, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         w_nodes = np.asarray(problem.weight(ts), dtype=float)
         w_mids = np.asarray(problem.weight(mids), dtype=float)
-    if np.any(w_nodes <= 0) or np.any(w_mids <= 0):
+    # samples along the mesh, node 0, mid 0, node 1, ...: keep the nodes up
+    # to the last one not below the smallest normal float
+    samples = np.empty(2 * len(ts) - 1)
+    samples[0::2], samples[1::2] = w_nodes, w_mids
+    normal = np.flatnonzero(~(samples < np.finfo(float).tiny))
+    keep = normal[-1] // 2 + 1 if normal.size else 0
+    if keep < 2 or np.any(samples[: 2 * keep - 1] <= 0) or np.any(samples < 0):
         raise DomainError("weight not positive on [0, ell]")
+    w_nodes, w_mids = w_nodes[:keep], w_mids[: keep - 1]
     if not (np.all(np.isfinite(w_nodes)) and np.all(np.isfinite(w_mids))):
         raise SolverError("weight not finite on the grid: it overflows in floating point")
     return w_nodes, w_mids
@@ -257,6 +272,11 @@ def _cut(order):
 class _Shooter:
     """Caches one mesh and band table per resolution for repeated S(lam) sweeps.
 
+    It solves `scaled`, the problem in units of 2^e, e the integer nearest
+    log2(length): lengths and steps are divided and lam multiplied by exact
+    powers of two, so h^3 and h^4 in the band stay normal at any length, and
+    values match the unscaled solve bit for bit wherever that stayed normal.
+
     With `order` p > 0 the mesh ends at the cut, graded into a layer eps, with at
     least 850 sqrt(p) uniform steps: RK4's relative error on a weight that falls
     like a Gaussian of width ell/sqrt(p) grows like p^2 h^4 (4.9e-12 at p = 98 on
@@ -265,30 +285,52 @@ class _Shooter:
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
+        e = self.e = round(math.log2(problem.length))
+        self.scaled = SLProblem(
+            length=math.ldexp(problem.length, -e),
+            weight=lambda t: problem.weight(np.ldexp(t, e)),
+            layer=None if problem.layer is None else math.ldexp(problem.layer, -e),
+            order=problem.order,
+        )
         self._cache = {}
-        self.eps = _cut(problem.order) * problem.length if problem.order > 0 else 0.0
-        self.layer = self.eps or problem.layer
+        self.eps = _cut(problem.order) * self.scaled.length if problem.order > 0 else 0.0
+        self.layer = self.eps or self.scaled.layer
         self.steps = int(850.0 * math.sqrt(problem.order)) if self.eps else 0
 
     def mesh(self, lam):
         """Nodes and (bands, rhs, mass) table resolving the phase of lam: 60
         steps per radian, at least 4,000."""
-        phase = math.sqrt(max(lam, 0.0)) * self.problem.length
+        phase = math.sqrt(max(lam, 0.0)) * self.scaled.length
         n_uniform = max(4000, int(60.0 * phase), self.steps)
         if n_uniform not in self._cache:
-            ts = _build_mesh(self.problem.length - self.eps, n_uniform, self.layer)
-            w_nodes, w_mids = _weight_tables(self.problem, ts)
+            ts = _build_mesh(self.scaled.length - self.eps, n_uniform, self.layer)
+            w_nodes, w_mids = _weight_tables(self.scaled, ts)
+            ts = ts[: len(w_nodes)]
             rhs = np.zeros(2 * len(ts))
             rhs[1] = w_nodes[0]
-            mass = w_nodes[-1] * self.eps / (self.problem.order + 1.0)
+            mass = w_nodes[-1] * self.eps / (self.scaled.order + 1.0)
             self._cache[n_uniform] = (ts, (_step_bands(ts, w_nodes, w_mids), rhs, mass))
         return self._cache[n_uniform]
 
 
-def _bracket(shooter: _Shooter, ell: float):
+def _unscaled(lam, e):
+    """An eigenvalue lam found in units of 2^e, in the problem's units:
+    lam * 4^-e.  One that is not a normal float is a SolverError, never a bound."""
+    try:
+        value = math.ldexp(lam, -2 * e)
+    except OverflowError:
+        value = math.inf
+    if not np.finfo(float).tiny <= value < math.inf:
+        way = "over" if value > 1.0 else "under"
+        raise SolverError(f"the eigenvalue {way}flows in floating point: {lam!r} * 2^{-2 * e}")
+    return value
+
+
+def _bracket(shooter: _Shooter):
     """Walk by factors of 4 from pi^2/(4 ell^2) to a sign change of S,
     inside the documented range; returns (lo, hi, sweeps) with
     S(lo) > 0 >= S(hi) and sweeps the number of S(lam) evaluations."""
+    ell = shooter.scaled.length
     lam_lo = SCAN_FLOOR_FACTOR * math.pi**2 / (4.0 * ell * ell)
     lam_hi = SCAN_CEIL_FACTOR / (ell * ell)
     lam = math.pi**2 / (4.0 * ell * ell)
@@ -304,7 +346,11 @@ def _bracket(shooter: _Shooter, ell: float):
             lo, lam = lam, min(4.0 * lam, lam_hi)
             if not below(lam):
                 return lo, lam, sweeps
-        raise NoBracketFound(f"no sign change of the shooting function up to lambda = {lam_hi}")
+        length = shooter.problem.length
+        raise NoBracketFound(
+            "no sign change of the shooting function up to "
+            f"lambda = {SCAN_CEIL_FACTOR / (length * length)}"
+        )
     while lam > lam_lo:
         hi, lam = lam, max(0.25 * lam, lam_lo)
         if below(lam):
@@ -315,24 +361,23 @@ def _bracket(shooter: _Shooter, ell: float):
     )
 
 
-def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
+def solve_shooting(problem: SLProblem) -> EigenResult:
     """First eigenvalue of the mixed problem by shooting.
 
-    Integrates from phi(0) = 0 with unit initial slope.  A walk by factors
-    of 4 brackets the sign change of S(lam) (see _shoot), and brentq finds
-    the root on the mesh of the bracket's upper end.  `tol` bounds the
-    normalized residual |S(lam)/S(0)| at that root; a root that misses it
-    is a SolverError.  With a cut (see _cut), `cut_error` estimates the
-    cut's error from the same sweeps: the shift of lam the end mass makes,
-    lam mass phi(b)/|S'| with S' the secant to the nearest sweep 1e-8 lam or
-    more below the root, times the mass's relative error from its next
-    Frobenius terms (the weight's departure from (ell - t)^p over the last
-    cell, and phi's variation over the tail).
+    Integrates from phi(0) = 0 with unit initial slope, in the units of
+    _Shooter.  A walk by factors of 4 brackets the sign change of S(lam)
+    (see _shoot), and brentq finds the root on the mesh of the bracket's
+    upper end.  A root whose residual |S(lam)/S(0)| exceeds RESIDUAL_MAX,
+    or whose value is not a normal float, is a SolverError.  With a cut
+    (see _cut), `cut_error` estimates the cut's error from the same sweeps:
+    the shift of lam the end mass makes, lam mass phi(b)/|S'| with S' the
+    secant to the nearest sweep 1e-8 lam or more below the root, times the
+    mass's relative error from its next Frobenius terms (the weight's
+    departure from (ell - t)^p over the last cell, and phi's variation over
+    the tail).
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
     shooter = _Shooter(problem)
-    lo, hi, sweeps = _bracket(shooter, problem.length)
+    lo, hi, sweeps = _bracket(shooter)
     ts, table = shooter.mesh(hi)
     # brentq returns a point it has evaluated: keep each S(lam) for the residual
     svals = {}
@@ -340,22 +385,25 @@ def solve_shooting(problem: SLProblem, tol: float = 1e-10) -> EigenResult:
         _sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL, full_output=True
     )
     s_root, phi_end = svals[lam]
+    value = _unscaled(lam, shooter.e)
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
     resid = abs(s_root) / float(table[1][1])
-    if not resid <= tol:
-        raise SolverError(f"shooting residual {resid:.3g} misses tol = {tol} at lambda = {lam}")
+    if not resid <= RESIDUAL_MAX:
+        raise SolverError(
+            f"shooting residual {resid:.3g} exceeds {RESIDUAL_MAX} at lambda = {value}"
+        )
     cut_error = None
     if shooter.eps:
         p, eps = problem.order, shooter.eps
-        r = (problem.length - ts[-2]) / eps
-        w_in, w_cut = np.asarray(problem.weight(ts[-2:]), dtype=float)
+        r = (shooter.scaled.length - ts[-2]) / eps
+        w_in, w_cut = np.asarray(shooter.scaled.weight(ts[-2:]), dtype=float)
         rel = abs(w_in / (w_cut * r**p) - 1.0) / ((r - 1.0) * (p + 2.0))
         rel += lam * eps * eps / ((p + 1.0) * (p + 3.0))
         near = max((v for v in svals if v <= lam * (1 - 1e-8) and svals[v][0] > 0.0), default=lo)
         slope = (svals[near][0] - s_root) / (lam - near)
-        cut_error = rel * lam * table[2] * abs(phi_end) / slope
+        cut_error = math.ldexp(rel * lam * table[2] * abs(phi_end) / slope, -2 * shooter.e)
     return EigenResult(
-        value=lam, method="shooting", residual=resid, grid_size=len(ts) - 1,
+        value=value, method="shooting", residual=resid, grid_size=len(ts) - 1,
         sweeps=sweeps + root.function_calls, cut_error=cut_error,
     )
 
@@ -436,7 +484,10 @@ def _green_first(weight, lo, hi, cells, free=False):
                 )
             # the quotient falls in exact arithmetic, so a rise is rounding
             if lam_old - lam <= FD_RTOL * lam:
-                return lam / (h * h), it
+                # h^2 formed in units of 2^e as in _Shooter, where it is normal
+                e = round(math.log2(hi - lo))
+                h_e = math.ldexp(h, -e)
+                return _unscaled(lam / (h_e * h_e), e), it
             if free:
                 x[0] = 0.0
             np.divide(green, green[-1], out=x[f:])

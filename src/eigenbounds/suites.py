@@ -18,7 +18,7 @@ from .bounds import (
     monotonicity_scan,
 )
 from .coefficients import CurvatureParams, drift_kahler, weight_kahler
-from .errors import DomainError
+from .errors import DomainError, NotDecreasing
 from .heatflow import (
     FIT_RESIDUAL_MAX,
     LINEAR,
@@ -103,13 +103,13 @@ LEMMA32_TUPLES = (
 )
 
 
-def lemma32_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def lemma32_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     for m, k1, k2, D in LEMMA32_TUPLES:
         params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
         weight = lambda t, p=params: weight_kahler(p, t)
         full = neumann_first_nonzero_direct(weight, 0.5 * D, n=grid)
-        half = solve_shooting(SLProblem(length=0.5 * D, weight=weight), tol=tol)
+        half = solve_shooting(SLProblem(length=0.5 * D, weight=weight))
         rel = abs(full.value - half.value) / max(full.value, half.value)
         checks.append(
             _chk(
@@ -123,9 +123,9 @@ def lemma32_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
     return SuiteResult("lemma32", checks)
 
 
-def prop13_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def prop13_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
-    for row in explicit_bound_table(tol=tol, n=grid):
+    for row in explicit_bound_table(n=grid):
         dev = abs(row["ratio"] - 1.0)
         checks.append(
             _chk(
@@ -148,14 +148,12 @@ DIRICHLET_TUPLES = (
 )
 
 
-def dirichlet_identity_suite(
-    seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
-) -> SuiteResult:
+def dirichlet_identity_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     for m, k1, k2, R in DIRICHLET_TUPLES:
         params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
-        d = kahler_dirichlet_bound(params, 0.0, R, tol=tol, n=grid)
-        nb = kahler_neumann_bound(params, 2.0 * R, tol=tol, n=grid)
+        d = kahler_dirichlet_bound(params, 0.0, R, n=grid)
+        nb = kahler_neumann_bound(params, 2.0 * R, n=grid)
         rel = abs(d.value - nb.value) / max(d.value, nb.value)
         checks.append(
             _chk(
@@ -169,7 +167,7 @@ def dirichlet_identity_suite(
     return SuiteResult("dirichlet-identity", checks)
 
 
-def _flow_check(name, inputs, flow, rate_tol=1e-2):
+def _flow_check(name, inputs, flow):
     osc_ok = bool(np.all(np.diff(flow.osc) <= 1e-12 * flow.osc[0]))
     rel = abs(flow.fit.fitted_rate - flow.fit.target_rate) / flow.fit.target_rate
     values = {
@@ -181,21 +179,21 @@ def _flow_check(name, inputs, flow, rate_tol=1e-2):
         "steps": flow.steps,
         "dt": flow.dt,
     }
-    ok = rel < rate_tol and flow.fit.fit_residual < FIT_RESIDUAL_MAX and osc_ok
-    return _chk(name, inputs, values, rate_tol, ok)
+    ok = rel < 1e-2 and flow.fit.fit_residual < FIT_RESIDUAL_MAX and osc_ok
+    return _chk(name, inputs, values, 1e-2, ok)
 
 
 def _flat_psi(s):
     return np.sin(math.pi * np.asarray(s, dtype=float)) / math.pi
 
 
-def _envelope_check(name, u0, seedval, tol=1e-6):
+def _envelope_check(name, u0, seedval):
     flow = heatflow_1d(None, LINEAR, 0.5, u0, 1.5, n=128)
     s_offsets, gap_max = modulus_of_continuity(flow.xs, flow.states[:1])
     big_c = float(np.max(gap_max[:, 0] / (2.0 * _flat_psi(s_offsets))))
     lam = math.pi**2
     rep = modulus_envelope_check(
-        flow, lambda s, t: big_c * math.exp(-lam * t) * _flat_psi(s), tol=tol
+        flow, lambda s, t: big_c * math.exp(-lam * t) * _flat_psi(s), tol=1e-6
     )
     values = {
         "max_violation": rep.max_violation,
@@ -204,10 +202,10 @@ def _envelope_check(name, u0, seedval, tol=1e-6):
         "initial_violation": rep.initial_violation,
         "amplitude": big_c,
     }
-    return _chk(name, {"initial_data": seedval, "rate": lam}, values, tol, rep.ok)
+    return _chk(name, {"initial_data": seedval, "rate": lam}, values, 1e-6, rep.ok)
 
 
-def heatflow_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def heatflow_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     series = {}
 
@@ -233,7 +231,7 @@ def heatflow_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 200
     series["kappa2_positive"] = (curved.times, curved.osc)
 
     neg = CurvatureParams(m=1, kappa1=-0.25, kappa2=0.0)
-    target = kahler_neumann_bound(neg, 2.0, tol=tol, n=grid).value
+    target = kahler_neumann_bound(neg, 2.0, n=grid).value
     hyper = heatflow_1d(
         lambda x: drift_kahler(neg, x),
         LINEAR,
@@ -271,12 +269,12 @@ def heatflow_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 200
     return SuiteResult("heatflow", checks, series=series)
 
 
-def sphere_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def sphere_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     for a in (0.5, 1.0, 2.0):
         spec = surface_eigen(sphere_profile(a))
         exact = 2.0 / a**2
-        rep = comparison_check(sphere_profile(a), tol=tol, grid=grid)
+        rep = comparison_check(sphere_profile(a), grid=grid)
         rel_exact = abs(spec.mu1 - exact) / exact
         rel_bound = abs(rep.mu1 - rep.bound) / rep.bound
         checks.append(
@@ -297,11 +295,11 @@ def sphere_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000)
     return SuiteResult("sphere", checks)
 
 
-def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000) -> SuiteResult:
+def surfaces_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     rng = np.random.default_rng(seed)
     for i in range(10):
-        rep = comparison_check(random_convex_profile(rng), tol=tol, grid=grid)
+        rep = comparison_check(random_convex_profile(rng), grid=grid)
         checks.append(
             _chk(
                 f"convex_profile_{i}",
@@ -336,27 +334,22 @@ def surfaces_suite(seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 200
     return SuiteResult("surfaces", checks)
 
 
-def monotonicity_suite(
-    seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
-) -> SuiteResult:
+def monotonicity_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     cases = [
         (CurvatureParams(m=2, kappa1=0.0, kappa2=0.0), [0.5, 1.0, 1.5, 2.0]),
         (CurvatureParams(m=2, kappa1=0.25, kappa2=0.25), [0.6, 1.2, 1.8, 2.4, 3.0]),
     ]
     for params, D_grid in cases:
-        rows = monotonicity_scan(params, D_grid, tol=tol, n=grid)
-        values = [r["value"] for r in rows]
-        decreasing = all(b < a for a, b in zip(values, values[1:]))
-        checks.append(
-            _chk(
-                "diameter_monotonicity",
-                {"m": params.m, "kappa1": params.kappa1, "kappa2": params.kappa2, "grid": D_grid},
-                {"values": values},
-                0.0,
-                decreasing,
-            )
-        )
+        inputs = {"m": params.m, "kappa1": params.kappa1, "kappa2": params.kappa2, "grid": D_grid}
+        # the scan raises on the first value that fails to decrease: a failed
+        # check, kept in the record with the scan's message
+        try:
+            rows = monotonicity_scan(params, D_grid, n=grid)
+            values, ok = {"values": [r["value"] for r in rows]}, True
+        except NotDecreasing as exc:
+            values, ok = {"error": str(exc)}, False
+        checks.append(_chk("diameter_monotonicity", inputs, values, 0.0, ok))
     return SuiteResult("monotonicity", checks)
 
 
@@ -371,15 +364,13 @@ _SUITES = {
 }
 
 
-def run_suite(
-    name: str, seed: int = DEFAULT_SEED, tol: float = 1e-10, grid: int = 2000
-) -> SuiteResult:
+def run_suite(name: str, seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     """Run one named suite, or every suite under the name 'all'."""
     if name == "all":
         checks = []
         series = {}
         for key in _SUITES:
-            sub = run_suite(key, seed=seed, tol=tol, grid=grid)
+            sub = run_suite(key, seed=seed, grid=grid)
             for c in sub.checks:
                 c = dict(c)
                 c["name"] = f"{key}.{c['name']}"
@@ -388,4 +379,4 @@ def run_suite(
         return SuiteResult("all", checks, series=series)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](seed=seed, tol=tol, grid=grid)
+    return _SUITES[name](seed=seed, grid=grid)

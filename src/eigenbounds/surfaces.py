@@ -51,6 +51,7 @@ __all__ = [
 
 # minimal analytic Gauss curvature accepted by the random generator
 CONVEX_K_FLOOR = 0.05
+MAX_PROFILE_DRAWS = 64  # candidates the random generator draws before giving up
 
 
 @dataclass(frozen=True)
@@ -174,68 +175,65 @@ def band_profile(c: float, L: float) -> SurfaceProfile:
     )
 
 
-def spindle_profile(eps: float, L: float = 1.0) -> SurfaceProfile:
-    """Cone-pole profile eps sin(pi r / L): constant curvature (pi/L)^2.
+def spindle_profile(eps: float) -> SurfaceProfile:
+    """Cone-pole profile eps sin(pi r) on [0, 1]: constant curvature pi^2.
 
-    The poles are conical for eps pi / L != 1 (the mode solver admits
+    The poles are conical for eps pi != 1 (the mode solver admits
     them); the k = 0 spectrum does not depend on eps at all, so the
     family realizes the maximal-diameter equality case of the positive
     curvature bound rather than a flat collapse.
     """
-    if not (eps > 0 and L > 0):
-        raise ProfileError(f"spindle needs positive parameters, got eps={eps}, L={L}")
-    w = math.pi / L
+    if not eps > 0:
+        raise ProfileError(f"spindle needs positive eps, got eps={eps}")
     return SurfaceProfile(
-        f=lambda r: eps * np.sin(w * np.asarray(r, dtype=float)),
-        df=lambda r: eps * w * np.cos(w * np.asarray(r, dtype=float)),
-        d2f=lambda r: -eps * w * w * np.sin(w * np.asarray(r, dtype=float)),
-        length=L,
+        f=lambda r: eps * np.sin(math.pi * np.asarray(r, dtype=float)),
+        df=lambda r: eps * math.pi * np.cos(math.pi * np.asarray(r, dtype=float)),
+        d2f=lambda r: -eps * math.pi * math.pi * np.sin(math.pi * np.asarray(r, dtype=float)),
+        length=1.0,
         closure="two_poles",
-        name=f"spindle eps={eps} L={L}",
+        name=f"spindle eps={eps} L=1.0",
     )
 
 
-def capsule_profile(aspect: float, L: float = 1.0) -> SurfaceProfile:
-    """Cylinder of width eps = aspect L with hemispherical caps.
+def capsule_profile(aspect: float) -> SurfaceProfile:
+    """Cylinder of length L = 1 and width eps = aspect with hemispherical caps.
 
     Smooth poles (f'(0) = 1) and K = 0 on the flat middle, so the family
-    collapses to the interval [0, L] with the flat bound pi^2 / L^2 in
-    the limit: the right family for the zero-curvature sharpness check.
+    collapses to the interval [0, 1] with the flat bound pi^2 in the
+    limit: the right family for the zero-curvature sharpness check.
     """
-    if not (0 < aspect < 2.0 / math.pi) or not L > 0:
-        raise ProfileError(
-            f"capsule needs 0 < aspect < 2/pi and L > 0, got aspect={aspect}, L={L}"
-        )
-    eps = aspect * L
+    if not 0 < aspect < 2.0 / math.pi:
+        raise ProfileError(f"capsule needs 0 < aspect < 2/pi, got aspect={aspect}")
+    eps = aspect
     cap = 0.5 * math.pi * eps
 
     def f(r):
         r = np.asarray(r, dtype=float)
         left = eps * np.sin(np.minimum(r, cap) / eps)
-        right = eps * np.sin(np.minimum(L - r, cap) / eps)
+        right = eps * np.sin(np.minimum(1.0 - r, cap) / eps)
         return np.minimum(left, right)
 
     def df(r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         out = np.where(r < cap, np.cos(np.minimum(r, cap) / eps), out)
-        out = np.where(L - r < cap, -np.cos(np.minimum(L - r, cap) / eps), out)
+        out = np.where(1.0 - r < cap, -np.cos(np.minimum(1.0 - r, cap) / eps), out)
         return out
 
     def d2f(r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         out = np.where(r < cap, -np.sin(np.minimum(r, cap) / eps) / eps, out)
-        out = np.where(L - r < cap, -np.sin(np.minimum(L - r, cap) / eps) / eps, out)
+        out = np.where(1.0 - r < cap, -np.sin(np.minimum(1.0 - r, cap) / eps) / eps, out)
         return out
 
     return SurfaceProfile(
-        f=f, df=df, d2f=d2f, length=L, closure="two_poles",
-        name=f"capsule aspect={aspect} L={L}",
+        f=f, df=df, d2f=d2f, length=1.0, closure="two_poles",
+        name=f"capsule aspect={aspect} L=1.0",
     )
 
 
-def random_convex_profile(rng: np.random.Generator, max_tries: int = 64) -> SurfaceProfile:
+def random_convex_profile(rng: np.random.Generator) -> SurfaceProfile:
     """Seeded low-order perturbation of the unit sphere with K_min above floor.
 
     Candidates f(r) = sin(r) (1 + sum_j a_j sin(j r)) keep the pole slopes
@@ -243,7 +241,7 @@ def random_convex_profile(rng: np.random.Generator, max_tries: int = 64) -> Surf
     -f''/f stays above the configured floor.
     """
     rs = np.linspace(0.0, math.pi, 2049)[1:-1]
-    for _ in range(max_tries):
+    for _ in range(MAX_PROFILE_DRAWS):
         amps = rng.uniform(-1.0, 1.0, size=3) * np.array([0.08, 0.04, 0.02])
 
         def make(amps):
@@ -284,7 +282,7 @@ def random_convex_profile(rng: np.random.Generator, max_tries: int = 64) -> Surf
             f=f, df=df, d2f=d2f, length=math.pi, closure="two_poles",
             name=f"perturbed sphere amps={np.round(amps, 4).tolist()}",
         )
-    raise ProfileError(f"no admissible convex profile found in {max_tries} draws")
+    raise ProfileError(f"no admissible convex profile found in {MAX_PROFILE_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +368,10 @@ def surface_diameter_upper(profile: SurfaceProfile) -> DiameterEstimate:
 # the comparison report
 
 
-def comparison_check(
-    profile: SurfaceProfile, modes: int = 3, n: int = 512, tol: float = 1e-10, grid: int = 2000
-) -> SurfaceComparison:
+def comparison_check(profile: SurfaceProfile, grid: int = 2000) -> SurfaceComparison:
     """Check the surface's mu_1 against the m = 1 interior bound.
 
-    `n` is the surface mode solver's grid, `grid` the bound's FD grid.
+    `grid` is the bound's FD grid; the spectrum takes surface_eigen's defaults.
 
     kappa_1 = K_min / 4 with K_min the analytic curvature minimum over a
     dense meridian grid.  The diameter is the meridian length L, exact for
@@ -398,8 +394,8 @@ def comparison_check(
             f"diameter overestimate {d_used:.6f} clamped to the validity cap {cap:.6f}"
         )
         d_used = cap
-    spec = surface_eigen(profile, modes=modes, n=n)
-    bound = kahler_neumann_bound(params, d_used, tol=tol, n=grid)
+    spec = surface_eigen(profile)
+    bound = kahler_neumann_bound(params, d_used, n=grid)
     bound_error = bound.value * bound.method_agreement
     if bound.limit_error is not None:
         bound_error += bound.limit_error

@@ -171,8 +171,8 @@ class TestComparison:
 
 class TestTableAndScan:
     def test_explicit_table_rows(self):
-        rows = explicit_bound_table(ms=(1, 2))
-        assert len(rows) == 6
+        rows = explicit_bound_table()
+        assert len(rows) == 12
         for row in rows:
             assert row["ratio"] == pytest.approx(1.0, abs=1e-6)
         by_case = {(r["case"], r["m"]): r for r in rows}

@@ -1,5 +1,6 @@
 """Command-line contract: output records, CSV shapes, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,8 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from eigenbounds import cli
+from eigenbounds import bounds, cli
 from eigenbounds.cli import main
+from eigenbounds.coefficients import CurvatureParams
 from eigenbounds.suites import DEFAULT_SEED
 from eigenbounds.surfaces import comparison_check, random_convex_profile
 
@@ -161,10 +163,12 @@ class TestBound:
         )
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: solver:")
-        # at D = 1e300 the squared mesh widths overflow too
+        # at D = 1e300 the eigenvalue pi^2/D^2 underflows: one line that says
+        # so, never 0 or a subnormal as a bound
         code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--m", "2", "--D", "1e300")
         assert code == 1 and out == ""
-        assert err == "eigenbounds: solver: shooting integration overflowed\n"
+        assert len(err.splitlines()) == 1
+        assert err.startswith("eigenbounds: solver: the eigenvalue underflows in floating point")
 
     @pytest.mark.parametrize(
         "argv",
@@ -190,8 +194,41 @@ class TestBound:
         # D = 1e-150 still solves, on the flat closed form pi^2 / D^2
         code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--m", "2", "--D", "1e-150")
         assert code == 0 and err == ""
-        fd_value = parse_json(out)["results"]["fd_value"]
-        assert fd_value == pytest.approx(math.pi**2 * 1e300, rel=1e-12)
+        res = parse_json(out)["results"]
+        assert res["value"] == pytest.approx(math.pi**2 * 1e300, rel=1e-13)
+        assert res["fd_value"] == pytest.approx(math.pi**2 * 1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("D", ["1e-120", "1e-103", "1e100", "1e150"])
+    def test_extreme_lengths_keep_the_closed_form(self, capsys, D):
+        # the solvers work at a power-of-two length scale, so the RK4 band's
+        # h^3 and h^4 neither underflow (small D) nor overflow (large D)
+        code, out, err = run_cli(capsys, "bound", "kahler-neumann", "--m", "2", "--D", D)
+        assert code == 0 and err == ""
+        res = parse_json(out)["results"]
+        exact = math.pi**2 / float(D) ** 2
+        assert res["value"] == pytest.approx(exact, rel=1e-13)
+        assert res["fd_value"] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, exact",
+        [
+            (("kahler-neumann", "--m", "50", "--k2", "1", "--D", repr(0.9999 * math.pi)), 99.0),
+            (("kahler-neumann", "--m", "50", "--k2", "1", "--D", repr((1 - 1e-6) * math.pi)), 99.0),
+            (("kahler-neumann", "--m", "50", "--k2", "1", "--D", repr((1 - 1e-9) * math.pi)), 99.0),
+            (("kahler-neumann", "--m", "20", "--k2", "1", "--D", repr((1 - 1e-9) * math.pi)), 39.0),
+            (("riemannian-neumann", "--n", "2000", "--k", "1", "--D", repr(0.99 * math.pi)), 2e3),
+        ],
+        ids=["m50-0.9999", "m50-1e-6", "m50-1e-9", "m20-1e-9", "n2000-0.99"],
+    )
+    def test_near_cap_weight_underflow_is_cut(self, capsys, argv, exact):
+        # the weight underflows on the last cells of the shooting mesh; the
+        # mesh ends before them, as the FD grid does, and the bound sits just
+        # above the sharp value at the cap
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert code == 0 and err == ""
+        res = parse_json(out)["results"]
+        assert res["value"] == pytest.approx(exact, rel=1e-8) and res["value"] > exact
+        assert res["method_agreement"] < 1e-8
 
     def test_negative_exponent_flag_is_a_value(self, capsys):
         # argparse's negative-number pattern misses exponent notation
@@ -315,6 +352,20 @@ class TestVerify:
         assert all(set(r) == {"check", "ok", "tol"} for r in rows)
         assert all(r["ok"] == "1" for r in rows)
 
+    def test_monotonicity_failure_keeps_the_record(self, capsys, monkeypatch):
+        # a bound that fails to decrease is a failed check in the record,
+        # with the scan's message; `verify` still prints and exits 1
+        flat = bounds.kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.0), 1.0)
+        monkeypatch.setattr(bounds, "kahler_neumann_bound", lambda params, D, n=2000: flat)
+        code, out, _ = run_cli(capsys, "verify", "monotonicity")
+        assert code == 1
+        checks = parse_json(out)["results"]["checks"]
+        assert [c["ok"] for c in checks] == [False, False]
+        assert all("failed to decrease" in c["values"]["error"] for c in checks)
+        code, out, err = run_cli(capsys, "verify", "all", "--format", "csv")
+        assert code == 1
+        assert parse_csv(out) and "checks failed" in err and len(err.splitlines()) == 1
+
     def test_surfaces_bound_uses_grid(self, capsys):
         # the echoed --grid is the FD grid of each profile's bound
         code, out, _ = run_cli(capsys, "verify", "surfaces", "--grid", "4000")
@@ -433,6 +484,44 @@ def _outcome(capsys, argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestOptions:
+    # each option a subcommand takes: a new knob is a visible change here
+    OPTIONS = {
+        "bound": {"--m", "--k1", "--k2", "--D", "--lambda", "--R", "--n", "--k", "--grid",
+                  "--format"},
+        "table": {"--m", "--k1", "--k2", "--D-grid", "--grid", "--format"},
+        "verify": {"--seed", "--grid", "--format"},
+        "scan": {"--param", "--range", "--m", "--k1", "--k2", "--D", "--lambda", "--R", "--grid",
+                 "--format"},
+    }
+
+    def test_option_set_is_pinned(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert options == self.OPTIONS
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "kahler-neumann", "--D", "1"),
+            ("table", "prop13"),
+            ("verify", "lemma32"),
+            ("scan", "--param", "D", "--range", "1:1.5:0.5"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as ei:
+            main([*argv, "--tol", "1e-10"])
+        assert ei.value.code == 64
+        out = capsys.readouterr()
+        assert out.out == "" and "unrecognized arguments: --tol 1e-10" in out.err
 
 
 class TestEntryPoint:

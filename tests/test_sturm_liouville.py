@@ -245,17 +245,32 @@ def test_end_mass_sign_marks_first_eigenvalue():
 
 def test_shooting_rejects_bad_input():
     with pytest.raises(DomainError):
-        solve_shooting(FLAT, tol=0.0)
-    with pytest.raises(DomainError):
         solve_shooting(SLProblem(length=1.0, weight=lambda t: -flat(t)))
 
 
-def test_shooting_misses_tol_is_solver_error():
-    # the root is converged near machine precision; a residual tolerance
-    # below what that root reaches is refused, not silently exceeded
+def test_weight_tables_cut_only_a_trailing_underflow():
+    ts = np.linspace(0.0, 1.0, 11)
+    # below the floor from the midpoint 0.75 on: the tables end at node 0.7
+    tail = SLProblem(1.0, lambda t: np.where(t < 0.72, 1.0, 1e-310))
+    w_nodes, w_mids = _weight_tables(tail, ts)
+    assert len(w_nodes) == 8 and len(w_mids) == 7
+    # a zero run before a normal weight, or a negative tail, is refused
+    for weight in (
+        lambda t: np.where(abs(t - 0.5) < 0.1, 0.0, 1.0),
+        lambda t: np.where(t < 0.72, 1.0, -1e-310),
+    ):
+        with pytest.raises(DomainError):
+            _weight_tables(SLProblem(1.0, weight), ts)
+
+
+def test_shooting_misses_tol_is_solver_error(monkeypatch):
+    # the root is converged near machine precision; a residual bound below
+    # what that root reaches is refused, not silently exceeded
+    monkeypatch.setattr(sturm_liouville, "RESIDUAL_MAX", 1e-300)
     with pytest.raises(SolverError):
-        solve_shooting(NEAR_CAP, tol=1e-300)
-    assert solve_shooting(FLAT, tol=math.inf).value == pytest.approx(math.pi**2 / 4, rel=1e-12)
+        solve_shooting(NEAR_CAP)
+    monkeypatch.setattr(sturm_liouville, "RESIDUAL_MAX", math.inf)
+    assert solve_shooting(FLAT).value == pytest.approx(math.pi**2 / 4, rel=1e-12)
 
 
 def test_no_bracket_below_scan_floor():
