@@ -15,7 +15,9 @@ Two independent routes to the same eigenvalues:
     the mixed stiffness is the discrete Green's function, two cumulative
     sums and a division by the face weights, so power iteration on it
     finds the first eigenvalue from sums of positive terms; it keeps
-    relative accuracy on fine grids and for tiny eigenvalues.
+    relative accuracy on fine grids and for tiny eigenvalues.  The weight
+    is sampled once, on the 2n grid, and the n grid reads its samples
+    from that table; the 2n grid starts from the n grid's iterate (see _fd).
 
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only; where the weight vanishes at ell (SLProblem.order,
@@ -66,8 +68,9 @@ SCAN_CEIL_FACTOR = 1e4
 ROOT_RTOL = 1e-14
 RESIDUAL_MAX = 1e-10  # largest normalized residual |S(lam)/S(0)| accepted at the root
 # FD cells per grid.  The cumulative sums keep relative accuracy on fine
-# grids, so the cap bounds memory and time: n = 10^6 takes about 170 MB and
-# 0.7 to 0.9 s on a 2-core VM, in either FD solver
+# grids, so the cap bounds memory and time: n = 10^6 takes about 155 MB over
+# the interpreter's and 0.33 s (solve_fd) or 0.46 s (the full interval) on a
+# 2-core Xeon VM
 MAX_FD_CELLS = 1_000_000
 # the FD power iteration stops once lam falls by at most FD_RTOL
 # relative, and fails after FD_MAX_ITERATIONS
@@ -112,8 +115,8 @@ class SLProblem:
 @dataclass
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) evaluations of the bracket walk and brentq, or for the FD
-    solvers the power iterations over both grids.  `cut_error`: see
+    S(lam) sweeps the bracket walk and brentq ran, or for the FD solvers
+    the power iterations over both grids.  `cut_error`: see
     solve_shooting."""
 
     value: float
@@ -249,10 +252,12 @@ def _shoot(table, lam, end=False):
 
 
 def _sweep(lam, table, svals):
-    """S(lam) for brentq, kept in svals with phi(b).  The table comes in through
-    brentq's args: a closure over it would sit in the reference cycle of brentq's
-    function wrapper and keep the table alive until a cyclic collection."""
-    svals[lam] = _shoot(table, lam, end=True)
+    """S(lam) for brentq, kept in svals with phi(b); a lam already in svals is
+    not swept again.  The table comes in through brentq's args: a closure over
+    it would sit in the reference cycle of brentq's function wrapper and keep
+    the table alive until a cyclic collection."""
+    if lam not in svals:
+        svals[lam] = _shoot(table, lam, end=True)
     return svals[lam][0]
 
 
@@ -328,24 +333,25 @@ def _unscaled(lam, e):
 
 def _bracket(shooter: _Shooter):
     """Walk by factors of 4 from pi^2/(4 ell^2) to a sign change of S,
-    inside the documented range; returns (lo, hi, sweeps) with
-    S(lo) > 0 >= S(hi) and sweeps the number of S(lam) evaluations."""
+    inside the documented range; returns (lo, hi, swept) with
+    S(lo) > 0 >= S(hi) and swept the walk's sweeps as
+    {lam: (table, (S(lam), phi(b)))}."""
     ell = shooter.scaled.length
     lam_lo = SCAN_FLOOR_FACTOR * math.pi**2 / (4.0 * ell * ell)
     lam_hi = SCAN_CEIL_FACTOR / (ell * ell)
     lam = math.pi**2 / (4.0 * ell * ell)
-    sweeps = 0
+    swept = {}
 
     def below(lam):
-        nonlocal sweeps
-        sweeps += 1
-        return _shoot(shooter.mesh(lam)[1], lam) > 0.0
+        table = shooter.mesh(lam)[1]
+        swept[lam] = (table, _shoot(table, lam, end=True))
+        return swept[lam][1][0] > 0.0
 
     if below(lam):
         while lam < lam_hi:
             lo, lam = lam, min(4.0 * lam, lam_hi)
             if not below(lam):
-                return lo, lam, sweeps
+                return lo, lam, swept
         length = shooter.problem.length
         raise NoBracketFound(
             "no sign change of the shooting function up to "
@@ -354,7 +360,7 @@ def _bracket(shooter: _Shooter):
     while lam > lam_lo:
         hi, lam = lam, max(0.25 * lam, lam_lo)
         if below(lam):
-            return lam, hi, sweeps
+            return lam, hi, swept
     raise NoBracketFound(
         "shooting function not positive at the scan floor; "
         "first eigenvalue below the documented scan range"
@@ -367,23 +373,25 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     Integrates from phi(0) = 0 with unit initial slope, in the units of
     _Shooter.  A walk by factors of 4 brackets the sign change of S(lam)
     (see _shoot), and brentq finds the root on the mesh of the bracket's
-    upper end.  A root whose residual |S(lam)/S(0)| exceeds RESIDUAL_MAX,
-    or whose value is not a normal float, is a SolverError.  With a cut
-    (see _cut), `cut_error` estimates the cut's error from the same sweeps:
-    the shift of lam the end mass makes, lam mass phi(b)/|S'| with S' the
-    secant to the nearest sweep 1e-8 lam or more below the root, times the
-    mass's relative error from its next Frobenius terms (the weight's
-    departure from (ell - t)^p over the last cell, and phi's variation over
-    the tail).
+    upper end, reusing the walk's sweeps of the bracket ends.  A root whose
+    residual |S(lam)/S(0)| exceeds RESIDUAL_MAX, or whose value is not a
+    normal float, is a SolverError.  With a cut (see _cut), `cut_error`
+    estimates the cut's error from the same sweeps: the shift of lam the end
+    mass makes, lam mass phi(b)/|S'| with S' the secant to the nearest sweep
+    1e-8 lam or more below the root, times the mass's relative error from
+    its next Frobenius terms (the weight's departure from (ell - t)^p over
+    the last cell, and phi's variation over the tail).
     """
     shooter = _Shooter(problem)
-    lo, hi, sweeps = _bracket(shooter)
+    lo, hi, swept = _bracket(shooter)
     ts, table = shooter.mesh(hi)
-    # brentq returns a point it has evaluated: keep each S(lam) for the residual
-    svals = {}
-    lam, root = brentq(
-        _sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL, full_output=True
-    )
+    # brentq returns a point it has evaluated: keep each S(lam) for the residual.
+    # Its first two calls are the bracket ends, already swept on this mesh
+    # unless lo's mesh was coarser; the walk's other points stay out, so the
+    # cut_error secant is the same as with brentq's own sweeps
+    svals = {lam: swept[lam][1] for lam in (lo, hi) if swept[lam][0] is table}
+    reused = len(svals)
+    lam = brentq(_sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL)
     s_root, phi_end = svals[lam]
     value = _unscaled(lam, shooter.e)
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
@@ -404,7 +412,7 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
         cut_error = math.ldexp(rel * lam * table[2] * abs(phi_end) / slope, -2 * shooter.e)
     return EigenResult(
         value=value, method="shooting", residual=resid, grid_size=len(ts) - 1,
-        sweeps=sweeps + root.function_calls, cut_error=cut_error,
+        sweeps=len(swept) + len(svals) - reused, cut_error=cut_error,
     )
 
 
@@ -412,10 +420,18 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
 # finite differences
 
 
-def _green_first(weight, lo, hi, cells, free=False):
-    """First nonzero eigenvalue of the FD pencil on [lo, hi] at `cells`
-    cells, with phi'(hi) = 0 and phi(lo) = 0 (or phi'(lo) = 0 when `free`),
-    and the number of power iterations it took.
+def _green_first(samples, lo, hi, free=False, start=None):
+    """First nonzero eigenvalue of the FD pencil on [lo, hi], with
+    phi'(hi) = 0 and phi(lo) = 0 (or phi'(lo) = 0 when `free`), the number
+    of power iterations it took and the converged iterate at the nodes.
+
+    `samples` holds the weight along a grid of len(samples) // 2 cells (see
+    _fd): with `free` half the end mass at lo, then the face and inner node
+    weights in turn, face 0 first, then half the end mass at hi.  `start` is a
+    positive (with `free`, increasing) vector at the cells + 1 nodes; by
+    default ones, or with `free` the ramp t.  The iteration runs in it, and
+    it is returned, set to the first and last kept values outside the kept
+    nodes and to 0 at a fixed lo.
 
     Node-based centered scheme: face weights sit at the cell midpoints, and
     a Neumann end node carries half a cell of mass weighted a quarter cell
@@ -429,26 +445,17 @@ def _green_first(weight, lo, hi, cells, free=False):
     terms.  A free node at lo adds its half-cell mass, and the constants
     become the kernel of K.  Iterates kept M-orthogonal to them (deflation)
     give a y that sums to zero, so the same sums solve K z = y up to a
-    constant, which the quotient ignores.  The increasing ramp start meets
-    the first nonzero mode, which is monotone, and the iterates stay
+    constant, which the quotient ignores.  An increasing start meets the
+    first nonzero mode, which is monotone, and the iterates stay
     increasing, so the flux through a face where x < 0 is minus the sum of
     the negative y up to it: no flux cancels, even where the weight
     vanishes at lo.  No symmetry of the weight is used.  Trailing cells whose
     weight underflows to exactly 0.0 carry no flux and no mass, and are cut
     at the last positive face, as are leading ones at a free lo.
     """
-    h = (hi - lo) / cells
-    nodes = np.linspace(lo, hi, cells + 1)
-    faces = 0.5 * (nodes[:-1] + nodes[1:])
-    # the free end mass, then face weights and node masses in order along
-    # the interval
     f = int(free)
-    samples = np.empty(2 * cells + f)
-    samples[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
-    samples[f:-1:2] = np.asarray(weight(faces), dtype=float)
-    samples[-1] = 0.5 * float(weight(hi - 0.25 * h))
-    if free:
-        samples[0] = 0.5 * float(weight(lo + 0.25 * h))
+    cells = (samples.size - f) // 2
+    h = (hi - lo) / cells
     # only runs of exact zeros, an underflow, at hi and at a free lo (from the
     # node before the first positive sample) are cut; other zeros are outside
     kept = np.flatnonzero(samples != 0.0)
@@ -458,7 +465,10 @@ def _green_first(weight, lo, hi, cells, free=False):
     faces_kept = (kept[-1] + 2 - lead - f) // 2
     samples = samples[lead:]
     w, mass = samples[f : f + 2 * faces_kept : 2], samples[1 - f : f + 2 * faces_kept : 2]
-    x = nodes[lead // 2 : lead // 2 + mass.size].copy() if free else np.ones(faces_kept)
+    if start is None:
+        start = np.linspace(lo, hi, cells + 1) if free else np.ones(cells + 1)
+    first = lead // 2 if free else 1
+    x = start[first : first + mass.size]
     lam = math.inf
     # a weight that overflows, or a subnormal face under a finite flux, is a
     # solver failure, not a numpy warning
@@ -487,7 +497,9 @@ def _green_first(weight, lo, hi, cells, free=False):
                 # h^2 formed in units of 2^e as in _Shooter, where it is normal
                 e = round(math.log2(hi - lo))
                 h_e = math.ldexp(h, -e)
-                return _unscaled(lam / (h_e * h_e), e), it
+                start[:first] = x[0] if free else 0.0
+                start[first + x.size :] = x[-1]
+                return _unscaled(lam / (h_e * h_e), e), it, start
             if free:
                 x[0] = 0.0
             np.divide(green, green[-1], out=x[f:])
@@ -515,18 +527,47 @@ def _richardson(lam_n, lam_2n, n, sweeps):
 
 def _fd(weight, lo, hi, n, free=False):
     """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps` counts
-    the power iterations over both grids.  With `free` the weight must be even."""
+    the power iterations over both grids.
+
+    The weight is sampled once, on the 2n grid: its inner nodes and its faces
+    in two calls, and one point a quarter cell inside each Neumann end.  The
+    n grid reads its samples from those: its faces and inner nodes are the 2n
+    grid's inner nodes, and its end masses, a quarter of its cell inside, are
+    the 2n grid's end faces.  The 2n grid starts from the n grid's iterate,
+    linearly interpolated, which is positive, and increasing with `free`.
+    With `free` the weight must be even, checked on the 2n grid's nodes.
+    """
     if n < 16:
         raise DomainError("n must be at least 16")
     if n > MAX_FD_CELLS:
         raise DomainError(f"n must be at most {MAX_FD_CELLS}")
+    f = int(free)
+    h = (hi - lo) / (2 * n)
+    nodes = np.linspace(lo, hi, 2 * n + 1)
+    fine = np.empty(4 * n + f)
+    fine[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
+    fine[f:-1:2] = np.asarray(weight(0.5 * (nodes[:-1] + nodes[1:])), dtype=float)
+    del nodes
+    fine[-1] = 0.5 * float(weight(hi - 0.25 * h))
     if free:
+        fine[0] = 0.5 * float(weight(lo + 0.25 * h))
         # before either solve; a weight negative somewhere gets _green_first's message
-        w = np.asarray(weight(np.linspace(lo, hi, 2 * n + 1)[1:-1]), dtype=float)
+        w = fine[2:-1:2]
         if np.all(w >= 0.0) and np.abs(w - w[::-1]).max() > 1e-8 * w.max():
             raise DomainError("weight is not even on the interval")
-    lam_n, it_n = _green_first(weight, lo, hi, n, free)
-    lam_2n, it_2n = _green_first(weight, lo, hi, 2 * n, free)
+    coarse = np.empty(2 * n + f)
+    coarse[f:-1] = fine[f + 1 : -1 : 2]
+    coarse[-1] = 0.5 * fine[-2]
+    if free:
+        coarse[0] = 0.5 * fine[1]
+    lam_n, it_n, x = _green_first(coarse, lo, hi, free)
+    # freed before the finer solve, which sets the peak memory
+    del coarse
+    start = np.empty(2 * n + 1)
+    start[0::2] = x
+    start[1::2] = 0.5 * (x[:-1] + x[1:])
+    del x
+    lam_2n, it_2n, _ = _green_first(fine, lo, hi, free, start)
     return _richardson(lam_n, lam_2n, n, it_n + it_2n)
 
 

@@ -55,8 +55,10 @@ def test_sharp_bound_layers(capsys):
 
 def test_regular_bound_layer_counters(capsys):
     # the per-layer work counters the benchmark reads: the FD side runs its
-    # Green's-function iteration, so no eigh_tridiagonal pencil; two weight
-    # tables for the shooting mesh and three weight calls per FD grid
+    # Green's-function iteration, so no eigh_tridiagonal pencil.  Two weight
+    # tables for the shooting mesh (4,001 nodes, 4,000 midpoints), and one
+    # for both FD grids, on the 2n = 4,000 grid: its 3,999 inner nodes, its
+    # 4,000 faces and the end mass; a second FD table would add 4,000 points
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -67,7 +69,8 @@ def test_regular_bound_layer_counters(capsys):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 0
     assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 0
-    assert metrics["coefficients.weight.calls"] == 8
+    assert metrics["coefficients.weight.calls"] == 5
+    assert metrics["coefficients.weight.points"] == 8001 + 8000
 
 
 def test_full_interval_check_traces_no_pencil(capsys):

@@ -95,22 +95,29 @@ class TestShootingWork:
 
     @pytest.mark.parametrize(
         "params, D, sweeps",
-        [(CurvatureParams(m=2, kappa1=0.25), 2.0, 11), (CurvatureParams(m=4, kappa1=0.0), 2.0, 5)],
-        ids=["regular", "flat"],
+        [
+            (CurvatureParams(m=2, kappa1=0.25), 2.0, 9),
+            (CurvatureParams(m=4, kappa1=0.0), 2.0, 3),
+            (CurvatureParams(m=2, kappa1=1.0), 0.999 * math.pi / 2, 9),
+            (CurvatureParams(m=2, kappa1=1.0), math.pi / 2, 9),
+        ],
+        ids=["regular", "flat", "graded_near_cap", "kappa1_sharp"],
     )
     def test_sweeps_counts_shooting_evaluations(self, monkeypatch, params, D, sweeps):
-        # EigenResult.sweeps is the bracket walk's and brentq's S(lam) count
+        # EigenResult.sweeps is the number of S(lam) sweeps actually run by the
+        # bracket walk and brentq: brentq's first two calls, at the bracket ends,
+        # reuse the walk's sweeps, so no (table, lam) is swept twice
         problem = kahler_neumann_bound(params, D).problem
         inner = sturm_liouville._shoot
         calls = []
 
         def counted(table, lam, *args, **kwargs):
-            calls.append(lam)
+            calls.append((id(table), lam))
             return inner(table, lam, *args, **kwargs)
 
         monkeypatch.setattr(sturm_liouville, "_shoot", counted)
         r = sturm_liouville.solve_shooting(problem)
-        assert r.sweeps == len(calls) == sweeps
+        assert r.sweeps == len(calls) == len(set(calls)) == sweeps
 
 
 class TestIdentities:

@@ -403,31 +403,114 @@ def test_fd_weight_not_positive(weight):
 
 
 @pytest.mark.parametrize(
-    "solve, sweeps",
+    "solve, counts",
     [
-        (lambda: solve_fd(FLAT), 18),
+        (lambda: solve_fd(FLAT), [9, 2]),
         (
             lambda: solve_fd(
                 SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=2, kappa1=0.25), t))
             ),
-            20,
+            [10, 2],
         ),
-        (lambda: neumann_first_nonzero_direct(flat, 1.0), 18),
+        (lambda: neumann_first_nonzero_direct(flat, 1.0), [9, 3]),
     ],
     ids=["flat", "regular_baseline", "full_interval"],
 )
-def test_fd_sweeps_count_power_iterations(monkeypatch, solve, sweeps):
+def test_fd_sweeps_count_power_iterations(monkeypatch, solve, counts):
+    # the n grid starts cold, the 2n grid from the n grid's iterate
     inner = sturm_liouville._green_first
-    counts = []
+    seen = []
 
     def counted(*args):
-        lam, its = inner(*args)
-        counts.append(its)
-        return lam, its
+        lam, its, x = inner(*args)
+        seen.append(its)
+        return lam, its, x
 
     monkeypatch.setattr(sturm_liouville, "_green_first", counted)
-    assert solve().sweeps == sum(counts) == sweeps
-    assert len(counts) == 2
+    assert solve().sweeps == sum(seen)
+    assert seen == counts
+
+
+def _cold_green_first(weight, lo, hi, cells, free=False):
+    """The FD grid as solved before the weight table was shared: its own
+    weight samples and a cold start (ones, or the ramp t when `free`)."""
+    h = (hi - lo) / cells
+    nodes = np.linspace(lo, hi, cells + 1)
+    faces = 0.5 * (nodes[:-1] + nodes[1:])
+    f = int(free)
+    samples = np.empty(2 * cells + f)
+    samples[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
+    samples[f:-1:2] = np.asarray(weight(faces), dtype=float)
+    samples[-1] = 0.5 * float(weight(hi - 0.25 * h))
+    if free:
+        samples[0] = 0.5 * float(weight(lo + 0.25 * h))
+    kept = np.flatnonzero(samples != 0.0)
+    lead = 2 * (kept[0] // 2) if free else 0
+    faces_kept = (kept[-1] + 2 - lead - f) // 2
+    samples = samples[lead:]
+    w, mass = samples[f : f + 2 * faces_kept : 2], samples[1 - f : f + 2 * faces_kept : 2]
+    x = nodes[lead // 2 : lead // 2 + mass.size].copy() if free else np.ones(faces_kept)
+    lam = math.inf
+    total = mass.sum()
+    for it in range(1, 501):
+        if free:
+            x -= (mass * x).sum() / total
+        y = mass * x
+        flux = np.cumsum(y[::-1])[::-1][f:]
+        if free:
+            flux = np.where(x[:-1] < 0.0, -np.cumsum(y[:-1]), flux)
+        green = np.cumsum(flux / w)
+        lam, lam_old = float((y * x).sum()) / float((y[f:] * green).sum()), lam
+        if lam_old - lam <= 1e-14 * lam:
+            return lam / (h * h), it
+        if free:
+            x[0] = 0.0
+        np.divide(green, green[-1], out=x[f:])
+    raise AssertionError("cold reference did not settle")
+
+
+@pytest.mark.parametrize(
+    "weight, ell, most",
+    [
+        (flat, 1.0, (2, 3)),
+        (lambda t: weight_kahler(CurvatureParams(m=2, kappa1=0.25), t), 1.0, (2, 3)),
+        (cos_pow(2), math.pi / 2, (2, 3)),
+        (cos_pow(8), math.pi / 2, (3, 4)),
+        (cos_pow(26), math.pi / 2, (4, 5)),
+        # the trailing underflow of test_fd_cuts_tail_that_underflows_to_zero and
+        # the two-end cut of test_neumann_direct_cuts_zeros_at_both_ends
+        (cos_pow(98), math.pi / 2, (5, 7)),
+    ],
+    ids=["flat", "regular_baseline", "cos2", "cos8", "cos26", "cos98_cut"],
+)
+def test_warm_fine_grid_matches_cold_grids(monkeypatch, weight, ell, most):
+    # one weight table and a warm 2n grid give the values of two cold grids,
+    # each with its own samples, to 1e-13; the 2n grid takes `most` (mixed,
+    # full interval) iterations or fewer, against 11 to 16 cold.  The n grid's
+    # eigenvector is off the 2n grid's by its own O(h^2) discretization error,
+    # which grows with the power p, so cos^26 and cos^98 need more than 4
+    inner = sturm_liouville._green_first
+    seen = []
+
+    def counted(*args):
+        lam, its, x = inner(*args)
+        seen.append(its)
+        return lam, its, x
+
+    monkeypatch.setattr(sturm_liouville, "_green_first", counted)
+    n = 2000
+    for solve, lo, free, fine_most in (
+        (lambda: solve_fd(SLProblem(ell, weight), n=n), 0.0, False, most[0]),
+        (lambda: neumann_first_nonzero_direct(weight, ell, n=n), -ell, True, most[1]),
+    ):
+        seen.clear()
+        (lam_n, _), (lam_2n, it_2n) = (
+            _cold_green_first(weight, lo, ell, cells, free) for cells in (n, 2 * n)
+        )
+        r = solve()
+        assert r.value == pytest.approx((4.0 * lam_2n - lam_n) / 3.0, rel=1e-13, abs=0.0)
+        assert r.residual == pytest.approx(abs(lam_n - lam_2n) / 3.0, rel=1e-6)
+        assert len(seen) == 2 and seen[1] <= fine_most < it_2n
 
 
 def test_fd_iteration_cap_is_a_solver_error(monkeypatch):
