@@ -5,8 +5,8 @@ solves it by shooting and by finite differences, records the agreement,
 and packages validity checks (maximal diameter, inradius caps) into the
 result.  Boundary-sharp diameters, where the model weight vanishes at the
 interval end, are evaluated by shooting to a cut just short of the end and
-by the endpoint-tolerant discretization on the finite-difference side;
-such results are tagged is_limit.
+on the finite-difference side with no mass at the end; such results are
+tagged is_limit.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, n):
 
     For order > 0 the weight vanishes at ell to that order (the sharp
     case): shooting imposes boundedness at a cut short of ell (see
-    `sturm_liouville._cut`), finite differences solve the endpoint
-    directly.  Otherwise, when ell ends within a tenth of itself of the
+    `sturm_liouville._cut`), finite differences solve up to ell with no
+    mass there.  Otherwise, when ell ends within a tenth of itself of the
     weight's validity radius `rad`, the gap grades the shooting mesh.
     """
     layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None

@@ -10,22 +10,23 @@ Two independent routes to the same eigenvalues:
     solve for all node states; S(lam) = -w(0) when any node has
     phi < 0 < u.
   * solve_fd: node-based finite differences for (w phi')' = -lam*w*phi,
-    with face weights at the cell midpoints and a half-cell end mass,
-    with Richardson extrapolation over n and 2n cells.  The inverse of
-    the mixed stiffness is the discrete Green's function, two cumulative
-    sums and a division by the face weights, so power iteration on it
-    finds the first eigenvalue from sums of positive terms; it keeps
+    with face weights at the cell midpoints and a half-cell end mass at
+    the end node, with Richardson extrapolation over n and 2n cells.  The
+    inverse of the mixed stiffness is the discrete Green's function, two
+    cumulative sums and a division by the face weights, so power iteration
+    on it finds the first eigenvalue from sums of positive terms; it keeps
     relative accuracy on fine grids and for tiny eigenvalues.  The weight
-    is sampled once, on the 2n grid, and the n grid reads its samples
-    from that table; the 2n grid starts from the n grid's iterate (see _fd).
+    is sampled once, on the 2n grid's half-cell lattice, and the n grid
+    reads every other sample; the 2n grid starts from the n grid's iterate
+    (see _fd).
 
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only; where the weight vanishes at ell (SLProblem.order,
 the boundary-sharp cases) shooting stops at a cut and lumps the tail into
-an end mass (see _cut).  Both work at a power-of-two length scale (see
-_Shooter), and an eigenvalue that is not a normal float is a SolverError.
-neumann_first_nonzero_direct solves the
-full-interval Neumann problem without using any symmetry, so the
+an end mass (see _cut), and finite differences put no mass at ell.  Both
+work at a power-of-two length scale (see _Shooter), and an eigenvalue that
+is not a normal float is a SolverError.  neumann_first_nonzero_direct
+solves the full-interval Neumann problem without using any symmetry, so the
 half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
 constants.  eigen_limit extrapolates eigenvalues from truncated problems;
@@ -68,8 +69,8 @@ SCAN_CEIL_FACTOR = 1e4
 ROOT_RTOL = 1e-14
 RESIDUAL_MAX = 1e-10  # largest normalized residual |S(lam)/S(0)| accepted at the root
 # FD cells per grid.  The cumulative sums keep relative accuracy on fine
-# grids, so the cap bounds memory and time: n = 10^6 takes about 155 MB over
-# the interpreter's and 0.33 s (solve_fd) or 0.46 s (the full interval) on a
+# grids, so the cap bounds memory and time: n = 10^6 takes about 165 MB over
+# the interpreter's and 0.3 s (solve_fd) or 0.45 s (the full interval) on a
 # 2-core Xeon VM
 MAX_FD_CELLS = 1_000_000
 # the FD power iteration stops once lam falls by at most FD_RTOL
@@ -99,7 +100,8 @@ class SLProblem:
     distance scale on which the weight varies near the right endpoint
     (used to grade the shooting mesh).  `order` > 0 says the weight
     vanishes at `length` to that order: solve_shooting then cuts the
-    interval (see _cut), solve_fd ignores it.
+    interval (see _cut), and solve_fd puts no mass at `length`, where the
+    weight is never evaluated.
     """
 
     length: float
@@ -157,24 +159,22 @@ def _weight_tables(problem: SLProblem, ts: np.ndarray):
     the weight has underflowed there, and the caller ends the mesh at
     len(w_nodes) nodes.  A sample <= 0 before that run, or < 0 in it, is a
     DomainError."""
-    mids = 0.5 * (ts[:-1] + ts[1:])
+    # one call along the mesh, node 0, mid 0, node 1, ...
+    points = np.empty(2 * len(ts) - 1)
+    points[0::2], points[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
     # a weight that grows like exp(a*t) overflows on a long interval; that
     # is a solver failure, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w_nodes = np.asarray(problem.weight(ts), dtype=float)
-        w_mids = np.asarray(problem.weight(mids), dtype=float)
-    # samples along the mesh, node 0, mid 0, node 1, ...: keep the nodes up
-    # to the last one not below the smallest normal float
-    samples = np.empty(2 * len(ts) - 1)
-    samples[0::2], samples[1::2] = w_nodes, w_mids
+        samples = np.asarray(problem.weight(points), dtype=float)
+    # keep the nodes up to the last one not below the smallest normal float
     normal = np.flatnonzero(~(samples < np.finfo(float).tiny))
     keep = normal[-1] // 2 + 1 if normal.size else 0
     if keep < 2 or np.any(samples[: 2 * keep - 1] <= 0) or np.any(samples < 0):
         raise DomainError("weight not positive on [0, ell]")
-    w_nodes, w_mids = w_nodes[:keep], w_mids[: keep - 1]
-    if not (np.all(np.isfinite(w_nodes)) and np.all(np.isfinite(w_mids))):
+    samples = samples[: 2 * keep - 1]
+    if not np.all(np.isfinite(samples)):
         raise SolverError("weight not finite on the grid: it overflows in floating point")
-    return w_nodes, w_mids
+    return samples[0::2], samples[1::2]
 
 
 def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
@@ -426,21 +426,21 @@ def _green_first(samples, lo, hi, free=False, start=None):
     of power iterations it took and the converged iterate at the nodes.
 
     `samples` holds the weight along a grid of len(samples) // 2 cells (see
-    _fd): with `free` half the end mass at lo, then the face and inner node
-    weights in turn, face 0 first, then half the end mass at hi.  `start` is a
+    _fd): with `free` half the weight at lo, then the face and inner node
+    weights in turn, face 0 first, then half the weight at hi.  `start` is a
     positive (with `free`, increasing) vector at the cells + 1 nodes; by
     default ones, or with `free` the ramp t.  The iteration runs in it, and
     it is returned, set to the first and last kept values outside the kept
     nodes and to 0 at a fixed lo.
 
     Node-based centered scheme: face weights sit at the cell midpoints, and
-    a Neumann end node carries half a cell of mass weighted a quarter cell
-    inside, so a weight that vanishes exactly at hi stays admissible.  With
-    phi(lo) = 0 the stiffness is K = B^T W B, B the lower-bidiagonal
-    difference and W the face weights, so K^-1 y is a reverse cumulative
-    sum, a division by W and a forward cumulative sum: the discrete Green's
-    function of the mixed problem, entrywise positive.  Power iteration on
-    K^-1 M from a positive start converges to the first mode, and its
+    a Neumann end node carries half a cell of mass weighted by the weight
+    there, the trapezoid rule's end term.  With phi(lo) = 0 the stiffness
+    is K = B^T W B, B the lower-bidiagonal difference and W the face
+    weights, so K^-1 y is a reverse cumulative sum, a division by W and a
+    forward cumulative sum: the discrete Green's function of the mixed
+    problem, entrywise positive.  Power iteration on K^-1 M from a
+    positive start converges to the first mode, and its
     eigenvalue (y.x)/(y.K^-1 y), y = M x, is a quotient of sums of positive
     terms.  A free node at lo adds its half-cell mass, and the constants
     become the kernel of K.  Iterates kept M-orthogonal to them (deflation)
@@ -513,8 +513,10 @@ def _richardson(lam_n, lam_2n, n, sweeps):
 
     The estimate is the error of the coarse pair (lam_2n's, for an h^2
     scheme), not of the extrapolated value it is reported with, which is
-    usually far more accurate: on `bound kahler-neumann --m 5 --k2 1
-    --D pi` it is 1.16e-7 against an actual error of 3.7e-13.
+    usually far more accurate: with the trapezoid end masses of _fd the
+    error of a smooth positive weight runs in even powers of h, so the
+    extrapolated value is off by O(h^4).  On `bound kahler-neumann --m 5
+    --k2 1 --D pi` the estimate is 1.16e-7 against an actual error of 3.9e-13.
     """
     return EigenResult(
         value=float((4.0 * lam_2n - lam_n) / 3.0),
@@ -525,48 +527,38 @@ def _richardson(lam_n, lam_2n, n, sweeps):
     )
 
 
-def _fd(weight, lo, hi, n, free=False):
+def _fd(weight, lo, hi, n, free=False, order=0):
     """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps` counts
     the power iterations over both grids.
 
-    The weight is sampled once, on the 2n grid: its inner nodes and its faces
-    in two calls, and one point a quarter cell inside each Neumann end.  The
-    n grid reads its samples from those: its faces and inner nodes are the 2n
-    grid's inner nodes, and its end masses, a quarter of its cell inside, are
-    the 2n grid's end faces.  The 2n grid starts from the n grid's iterate,
-    linearly interpolated, which is positive, and increasing with `free`.
-    With `free` the weight must be even, checked on the 2n grid's nodes.
+    The weight is sampled once, on the 2n grid's half-cell lattice lo + k h/2,
+    k = 1 ... 4n - 1, with the end mass w(hi)/2 (with `free` also w(lo)/2
+    first).  With `order` > 0 the weight vanishes at hi and the end mass is 0:
+    the model weights refuse to evaluate at a cap.  The n grid's samples are
+    every other one of these, so it reads a view of the same table.  The 2n
+    grid starts from the n grid's iterate, linearly interpolated, which is
+    positive, and increasing with `free`.  With `free` the weight must be
+    even, checked on the lattice.
     """
     if n < 16:
         raise DomainError("n must be at least 16")
     if n > MAX_FD_CELLS:
         raise DomainError(f"n must be at most {MAX_FD_CELLS}")
     f = int(free)
-    h = (hi - lo) / (2 * n)
-    nodes = np.linspace(lo, hi, 2 * n + 1)
-    fine = np.empty(4 * n + f)
-    fine[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
-    fine[f:-1:2] = np.asarray(weight(0.5 * (nodes[:-1] + nodes[1:])), dtype=float)
-    del nodes
-    fine[-1] = 0.5 * float(weight(hi - 0.25 * h))
+    # the lattice up to hi, or short of it where the weight vanishes
+    stop = 4 * n if order > 0 else 4 * n + 1
+    fine = np.zeros(4 * n + f)
+    fine[: stop - 1 + f] = weight(np.linspace(lo, hi, 4 * n + 1)[1 - f : stop])
+    fine[-1] *= 0.5
     if free:
-        fine[0] = 0.5 * float(weight(lo + 0.25 * h))
+        fine[0] *= 0.5
         # before either solve; a weight negative somewhere gets _green_first's message
-        w = fine[2:-1:2]
-        if np.all(w >= 0.0) and np.abs(w - w[::-1]).max() > 1e-8 * w.max():
+        if np.all(fine >= 0.0) and np.abs(fine - fine[::-1]).max() > 1e-8 * fine.max():
             raise DomainError("weight is not even on the interval")
-    coarse = np.empty(2 * n + f)
-    coarse[f:-1] = fine[f + 1 : -1 : 2]
-    coarse[-1] = 0.5 * fine[-2]
-    if free:
-        coarse[0] = 0.5 * fine[1]
-    lam_n, it_n, x = _green_first(coarse, lo, hi, free)
-    # freed before the finer solve, which sets the peak memory
-    del coarse
+    lam_n, it_n, x = _green_first(fine[1 - f :: 2], lo, hi, free)
     start = np.empty(2 * n + 1)
     start[0::2] = x
     start[1::2] = 0.5 * (x[:-1] + x[1:])
-    del x
     lam_2n, it_2n, _ = _green_first(fine, lo, hi, free, start)
     return _richardson(lam_n, lam_2n, n, it_n + it_2n)
 
@@ -574,7 +566,7 @@ def _fd(weight, lo, hi, n, free=False):
 def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
     """First eigenvalue of the mixed problem by finite differences (see
     _green_first and _fd)."""
-    return _fd(problem.weight, 0.0, problem.length, n)
+    return _fd(problem.weight, 0.0, problem.length, n, order=problem.order)
 
 
 def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> EigenResult:

@@ -272,17 +272,16 @@ def heatflow_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
 def sphere_suite(seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:
     checks = []
     for a in (0.5, 1.0, 2.0):
-        spec = surface_eigen(sphere_profile(a))
         exact = 2.0 / a**2
         rep = comparison_check(sphere_profile(a), grid=grid)
-        rel_exact = abs(spec.mu1 - exact) / exact
+        rel_exact = abs(rep.mu1 - exact) / exact
         rel_bound = abs(rep.mu1 - rep.bound) / rep.bound
         checks.append(
             _chk(
                 "sphere_sharpness",
                 {"a": a},
                 {
-                    "mu1": spec.mu1,
+                    "mu1": rep.mu1,
                     "exact": exact,
                     "bound": rep.bound,
                     "gap_to_exact": rel_exact,

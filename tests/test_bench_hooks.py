@@ -55,10 +55,11 @@ def test_sharp_bound_layers(capsys):
 
 def test_regular_bound_layer_counters(capsys):
     # the per-layer work counters the benchmark reads: the FD side runs its
-    # Green's-function iteration, so no eigh_tridiagonal pencil.  Two weight
-    # tables for the shooting mesh (4,001 nodes, 4,000 midpoints), and one
-    # for both FD grids, on the 2n = 4,000 grid: its 3,999 inner nodes, its
-    # 4,000 faces and the end mass; a second FD table would add 4,000 points
+    # Green's-function iteration, so no eigh_tridiagonal pencil.  One weight
+    # call for the shooting mesh (4,001 nodes and 4,000 midpoints), and one
+    # for both FD grids, on the 2n = 4,000 grid's half-cell lattice: its
+    # 3,999 inner nodes, its 4,000 faces and the end node; a second FD
+    # table would add 4,000 points
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -69,7 +70,7 @@ def test_regular_bound_layer_counters(capsys):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 0
     assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 0
-    assert metrics["coefficients.weight.calls"] == 5
+    assert metrics["coefficients.weight.calls"] == 2
     assert metrics["coefficients.weight.points"] == 8001 + 8000
 
 

@@ -366,10 +366,41 @@ def _cosh2(t):
 def test_fd_keeps_relative_accuracy_on_fine_grids(solve, n):
     # the symmetrized pencil lost about eps/h^2: the mixed one was 1e-6 off at
     # n = 32,000 and 6e-5 at 250,000, and the full-interval one lost its zero
-    # mode from n = 100,000 on.  At n = 2,000 the mixed gap, 2.8e-12, is the
-    # h^3 term of the half-cell end mass that Richardson leaves; it falls
-    # 8-fold per doubling, and with twice the h the full interval is 2.2e-11 off
+    # mode from n = 100,000 on
     assert solve(n).value == pytest.approx(1.68204332003855, rel=5e-12 if n == 2000 else 1e-12)
+
+
+def test_fd_richardson_error_falls_like_h4():
+    # with the trapezoid end masses the error of the FD pair runs in even
+    # powers of h, so Richardson leaves h^4: 16-fold per doubling.  An end
+    # mass a quarter cell inside left an h^3 term, 8-fold.  The mixed error
+    # reaches the power iteration's stopping tolerance at n = 2,000 (the full
+    # interval's, with twice the h, at 4,000), so the rate is read on coarser
+    # grids and n = 4,000 is held to that tolerance
+    k = brentq(lambda k: k * math.cos(k) - math.tanh(1.0) * math.sin(k), 0.5, 1.5, xtol=1e-17)
+    exact = 1.0 + k * k  # cosh^2 on [0, 1]: phi = sin(k t)/cosh t
+    for solve in (
+        lambda n: solve_fd(SLProblem(1.0, _cosh2), n=n),
+        lambda n: neumann_first_nonzero_direct(_cosh2, 1.0, n=n),
+    ):
+        errors = [abs(solve(n).value / exact - 1.0) for n in (250, 500, 1000, 4000)]
+        assert errors[0] >= 12.0 * errors[1] and errors[1] >= 12.0 * errors[2]
+        assert errors[3] <= sturm_liouville.FD_RTOL
+
+
+def test_fd_never_evaluates_a_vanishing_weight_at_its_end():
+    # with order > 0 the end node carries no mass and the weight is not
+    # evaluated there, as the model weights refuse a cap; with order 0 the
+    # end mass is w(ell) h/2
+    def weight(t):
+        if np.any(np.asarray(t) >= math.pi / 2):
+            raise DomainError("weight evaluated at the cap")
+        return cos_pow(2)(t)
+
+    r = solve_fd(SLProblem(math.pi / 2, weight, order=2))
+    assert r.value == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(DomainError, match="at the cap"):
+        solve_fd(SLProblem(math.pi / 2, weight))
 
 
 def test_fd_tiny_eigenvalue_keeps_relative_accuracy():
@@ -432,18 +463,16 @@ def test_fd_sweeps_count_power_iterations(monkeypatch, solve, counts):
 
 
 def _cold_green_first(weight, lo, hi, cells, free=False):
-    """The FD grid as solved before the weight table was shared: its own
-    weight samples and a cold start (ones, or the ramp t when `free`)."""
+    """One FD grid on its own, sampled from the weight and not through _fd:
+    the trapezoid samples w(lo + k h/2) of its half-cell lattice, halved at
+    the Neumann ends, and a cold start (ones, or the ramp t when `free`)."""
     h = (hi - lo) / cells
     nodes = np.linspace(lo, hi, cells + 1)
-    faces = 0.5 * (nodes[:-1] + nodes[1:])
     f = int(free)
-    samples = np.empty(2 * cells + f)
-    samples[f + 1 : -1 : 2] = np.asarray(weight(nodes[1:-1]), dtype=float)
-    samples[f:-1:2] = np.asarray(weight(faces), dtype=float)
-    samples[-1] = 0.5 * float(weight(hi - 0.25 * h))
+    samples = np.asarray(weight(lo + 0.5 * h * np.arange(1 - f, 2 * cells + 1)), dtype=float)
+    samples[-1] *= 0.5
     if free:
-        samples[0] = 0.5 * float(weight(lo + 0.25 * h))
+        samples[0] *= 0.5
     kept = np.flatnonzero(samples != 0.0)
     lead = 2 * (kept[0] // 2) if free else 0
     faces_kept = (kept[-1] + 2 - lead - f) // 2
