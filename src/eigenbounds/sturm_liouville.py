@@ -5,7 +5,8 @@ Two independent routes to the same eigenvalues:
   * solve_shooting: integrates the self-adjoint first-order system
     phi' = u/w, u' = -lam*w*phi from the left end by classical RK4,
     brackets the sign change of the Neumann shooting function
-    S(lam) = u(ell; lam) by a walk in lam and finds its root with brentq.
+    S(lam) = u(ell; lam) by a walk in lam and finds its root by Brent's
+    method (_brent, a port of scipy's brentq).
     The system is linear, so a sweep is one banded triangular LAPACK
     solve for all node states; S(lam) = -w(0) when any node has
     phi < 0 < u.
@@ -41,12 +42,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 # unused here: only the benchmark tracer looks up sturm_liouville.eigh_tridiagonal;
 # drop with its span
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure, ZeroDenominator
 
@@ -65,8 +64,9 @@ __all__ = [
 # [SCAN_FLOOR_FACTOR * pi^2/(4 ell^2), SCAN_CEIL_FACTOR / ell^2]
 SCAN_FLOOR_FACTOR = 1e-2
 SCAN_CEIL_FACTOR = 1e4
-# relative tolerance of the shooting root
+# relative tolerance of the shooting root, and the Brent steps it may take
 ROOT_RTOL = 1e-14
+ROOT_MAX_ITERATIONS = 100
 RESIDUAL_MAX = 1e-10  # largest normalized residual |S(lam)/S(0)| accepted at the root
 # FD cells per grid.  The cumulative sums keep relative accuracy on fine
 # grids, so the cap bounds memory and time: n = 10^6 takes about 165 MB over
@@ -117,7 +117,7 @@ class SLProblem:
 @dataclass
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) sweeps the bracket walk and brentq ran, or for the FD solvers
+    S(lam) sweeps the bracket walk and _brent ran, or for the FD solvers
     the power iterations over both grids.  `cut_error`: see
     solve_shooting."""
 
@@ -251,16 +251,6 @@ def _shoot(table, lam, end=False):
     return (s, float(phi[-1])) if end else s
 
 
-def _sweep(lam, table, svals):
-    """S(lam) for brentq, kept in svals with phi(b); a lam already in svals is
-    not swept again.  The table comes in through brentq's args: a closure over
-    it would sit in the reference cycle of brentq's function wrapper and keep
-    the table alive until a cyclic collection."""
-    if lam not in svals:
-        svals[lam] = _shoot(table, lam, end=True)
-    return svals[lam][0]
-
-
 def _cut(order):
     """eps/ell of the cut short of an end where the weight vanishes to order p.
 
@@ -367,31 +357,86 @@ def _bracket(shooter: _Shooter):
     )
 
 
+def _brent(f, xa, xb, fa, fb, xtol, rtol):
+    """Root of f between xa and xb, and the number of calls to f made: a port
+    of scipy's brentq.c (Brent 1973, ch. 4) with the same float operations in
+    the same order, so its iterates equal brentq's bit for bit.  fa and fb are
+    f(xa) and f(xb), None to evaluate; f returns finite floats.  xblk is the
+    bracket end across the root from xcur.  No sign change, or no convergence
+    in ROOT_MAX_ITERATIONS steps (brentq's default), is a SolverError."""
+    xpre, xcur = xa, xb
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
+    calls = (fa is None) + (fb is None)
+    if fpre == 0 or fcur == 0:
+        return (xpre if fpre == 0 else xcur), calls
+    if (fpre < 0) == (fcur < 0):
+        raise SolverError(f"no sign change for the root search between {xa!r} and {xb!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(ROOT_MAX_ITERATIONS):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, calls
+        # secant or inverse quadratic step; none, or one dividing by zero (an
+        # inf or nan step in C), bisects
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        calls += 1
+    raise SolverError(f"root search did not converge in {ROOT_MAX_ITERATIONS} iterations")
+
+
 def solve_shooting(problem: SLProblem) -> EigenResult:
     """First eigenvalue of the mixed problem by shooting.
 
     Integrates from phi(0) = 0 with unit initial slope, in the units of
     _Shooter.  A walk by factors of 4 brackets the sign change of S(lam)
-    (see _shoot), and brentq finds the root on the mesh of the bracket's
-    upper end, reusing the walk's sweeps of the bracket ends.  A root whose
-    residual |S(lam)/S(0)| exceeds RESIDUAL_MAX, or whose value is not a
-    normal float, is a SolverError.  With a cut (see _cut), `cut_error`
-    estimates the cut's error from the same sweeps: the shift of lam the end
-    mass makes, lam mass phi(b)/|S'| with S' the secant to the nearest sweep
-    1e-8 lam or more below the root, times the mass's relative error from
-    its next Frobenius terms (the weight's departure from (ell - t)^p over
-    the last cell, and phi's variation over the tail).
+    (see _shoot), and Brent's method (_brent) finds the root on the mesh of
+    the bracket's upper end, starting from the walk's sweeps of the bracket
+    ends.  A root whose residual |S(lam)/S(0)| exceeds RESIDUAL_MAX, or
+    whose value is not a normal float, is a SolverError.  With a cut (see
+    _cut), `cut_error` estimates the cut's error from the same sweeps: the
+    shift of lam the end mass makes, lam mass phi(b)/|S'| with S' the secant
+    to the nearest sweep 1e-8 lam or more below the root, times the mass's
+    relative error from its next Frobenius terms (the weight's departure
+    from (ell - t)^p over the last cell, and phi's variation over the tail).
     """
     shooter = _Shooter(problem)
     lo, hi, swept = _bracket(shooter)
     ts, table = shooter.mesh(hi)
-    # brentq returns a point it has evaluated: keep each S(lam) for the residual.
-    # Its first two calls are the bracket ends, already swept on this mesh
-    # unless lo's mesh was coarser; the walk's other points stay out, so the
-    # cut_error secant is the same as with brentq's own sweeps
+    # (S(lam), phi(b)) of each sweep on this mesh, for the residual at the
+    # root and the cut_error secant: the bracket ends, which the walk swept
+    # on this mesh unless lo's mesh was coarser, and Brent's iterates
     svals = {lam: swept[lam][1] for lam in (lo, hi) if swept[lam][0] is table}
-    reused = len(svals)
-    lam = brentq(_sweep, lo, hi, args=(table, svals), xtol=ROOT_RTOL * lo, rtol=ROOT_RTOL)
+
+    def sweep(lam):
+        svals[lam] = _shoot(table, lam, end=True)
+        return svals[lam][0]
+
+    ends = (svals[lam][0] if lam in svals else None for lam in (lo, hi))
+    lam, calls = _brent(sweep, lo, hi, *ends, ROOT_RTOL * lo, ROOT_RTOL)
     s_root, phi_end = svals[lam]
     value = _unscaled(lam, shooter.e)
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
@@ -412,7 +457,7 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
         cut_error = math.ldexp(rel * lam * table[2] * abs(phi_end) / slope, -2 * shooter.e)
     return EigenResult(
         value=value, method="shooting", residual=resid, grid_size=len(ts) - 1,
-        sweeps=len(swept) + len(svals) - reused, cut_error=cut_error,
+        sweeps=len(swept) + calls, cut_error=cut_error,
     )
 
 
@@ -608,6 +653,8 @@ def rayleigh_quotient(problem: SLProblem, ts, phi) -> float:
     first eigenvalue of the matching problem, up to quadrature error, for
     any trial satisfying the essential condition phi(0) = 0.
     """
+    from scipy.integrate import simpson  # here: no command imports scipy.integrate
+
     ts = np.asarray(ts, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if ts.ndim != 1 or ts.shape != phi.shape or ts.size < 5:

@@ -289,11 +289,11 @@ def random_convex_profile(rng: np.random.Generator) -> SurfaceProfile:
 # mode spectra
 
 
-def _mode_values(profile: SurfaceProfile, k: int, n: int):
-    """First eigenvalue(s) of Fourier mode k on n staggered cells.
+def _mode_values(profile: SurfaceProfile, n: int, modes: int):
+    """First nonzero eigenvalue of each Fourier mode 0..modes on n staggered
+    cells: the zero mode's second eigenvalue, and the first of every other.
 
-    Returns (lam0, lam1) for k = 0 (zero mode and first nonzero) and
-    (lam0, None) for k >= 1.
+    The profile is sampled once; mode k adds k^2/f to the diagonal.
     """
     L = profile.length
     h = L / n
@@ -307,19 +307,17 @@ def _mode_values(profile: SurfaceProfile, k: int, n: int):
     diag = np.zeros(n)
     diag[:-1] += g
     diag[1:] += g
-    off = -g
-    if k > 0:
-        diag = diag + (k * k) / w_cell
     scale = np.sqrt(w_cell)
-    td = diag / w_cell
-    te = off / (scale[:-1] * scale[1:])
-    want = 1 if k == 0 else 0
-    vals = eigh_tridiagonal(td, te, select="i", select_range=(0, want), eigvals_only=True)
-    if k == 0:
-        if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
+    te = -g / (scale[:-1] * scale[1:])
+    values = []
+    for k in range(modes + 1):
+        td = (diag + (k * k) / w_cell if k > 0 else diag) / w_cell
+        want = 1 if k == 0 else 0
+        vals = eigh_tridiagonal(td, te, select="i", select_range=(0, want), eigvals_only=True)
+        if k == 0 and abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
             raise SolverError(f"zero mode of the k=0 problem came out as {vals[0]}")
-        return vals[0], vals[1]
-    return vals[0], None
+        values.append(float(vals[want]))
+    return values
 
 
 def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> SurfaceSpectrum:
@@ -332,12 +330,10 @@ def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> Surf
         raise ProfileError(f"need at least one rotational mode, got {modes}")
     if n < 64:
         raise ProfileError(f"need at least 64 cells, got {n}")
-    rows = []
-    for k in range(modes + 1):
-        idx = 1 if k == 0 else 0
-        coarse = _mode_values(profile, k, n)[idx]
-        fine = _mode_values(profile, k, 2 * n)[idx]
-        rows.append({"k": k, "value": float(fine), "error": float(abs(fine - coarse))})
+    coarse, fine = _mode_values(profile, n, modes), _mode_values(profile, 2 * n, modes)
+    rows = [
+        {"k": k, "value": f, "error": abs(f - c)} for k, (c, f) in enumerate(zip(coarse, fine))
+    ]
     best = min(rows, key=lambda row: row["value"])
     return SurfaceSpectrum(
         mu1=best["value"],

@@ -105,8 +105,8 @@ class TestShootingWork:
     )
     def test_sweeps_counts_shooting_evaluations(self, monkeypatch, params, D, sweeps):
         # EigenResult.sweeps is the number of S(lam) sweeps actually run by the
-        # bracket walk and brentq: brentq's first two calls, at the bracket ends,
-        # reuse the walk's sweeps, so no (table, lam) is swept twice
+        # bracket walk and Brent's method, which starts from the walk's sweeps
+        # of the bracket ends, so no (table, lam) is swept twice
         problem = kahler_neumann_bound(params, D).problem
         inner = sturm_liouville._shoot
         calls = []

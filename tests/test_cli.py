@@ -543,6 +543,26 @@ class TestEntryPoint:
         assert reused == fresh
         assert [r[0] for r in reused] == [0, 0, 64, 0, 64, 0, 0, 0, 0]
 
+    def test_commands_load_no_unused_scipy(self):
+        # scipy.optimize and scipy.integrate, and scipy.special that either
+        # pulls in, serve no command: importing them took longer than a bound
+        script = """
+import contextlib, io, json, math, sys
+from eigenbounds.cli import main
+argvs = (
+    ["bound", "kahler-neumann", "--m", "2", "--k1", "0.25", "--D", "2"],
+    ["bound", "kahler-neumann", "--m", "2", "--k1", "1", "--D", repr(math.pi / 2)],
+    ["table", "prop13"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+unused = ("scipy.optimize", "scipy.integrate", "scipy.special")
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(unused))]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0], []]
+
 
     def test_module_invocation(self):
         proc = subprocess.run(

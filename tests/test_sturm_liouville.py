@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from eigenbounds import sturm_liouville
+from eigenbounds.bounds import kahler_dirichlet_bound, kahler_neumann_bound
 from eigenbounds.coefficients import CurvatureParams, weight_kahler, weight_riemannian
 from eigenbounds.errors import (
     DomainError,
@@ -16,9 +17,13 @@ from eigenbounds.errors import (
     ZeroDenominator,
 )
 from eigenbounds.sturm_liouville import (
+    ROOT_RTOL,
     SLProblem,
+    _bracket,
+    _brent,
     _shoot,
     _Shooter,
+    _unscaled,
     _weight_tables,
     eigen_limit,
     neumann_first_nonzero_direct,
@@ -159,9 +164,9 @@ def test_banded_kernel_matches_rk4_reference(problem):
 
 
 def test_shooting_leaves_no_table_alive(monkeypatch):
-    # brentq wraps its callback in a function that refers to itself: a
-    # callback closing over a mesh table would keep the table alive until
-    # a cyclic collection, one table per solve
+    # nothing a solve leaves behind may hold a mesh table in a reference
+    # cycle (scipy's brentq wrapped its callback in one): each table would
+    # stay alive until a cyclic collection, one table per solve
     inner = sturm_liouville._shoot
     refs = []
 
@@ -179,6 +184,102 @@ def test_shooting_leaves_no_table_alive(monkeypatch):
     finally:
         gc.enable()
     assert refs and alive == 0
+
+
+def _recorded(f):
+    """f, and the list of the points it is called at."""
+    seen = []
+
+    def call(x):
+        seen.append(x)
+        return f(x)
+
+    return call, seen
+
+
+def _brent_against_brentq(f, a, b, xtol, rtol):
+    """_brent's and brentq's roots and evaluation points, from the same ends."""
+    mine, mine_seen = _recorded(f)
+    root, calls = _brent(mine, a, b, None, None, xtol, rtol)
+    theirs, theirs_seen = _recorded(f)
+    assert root.hex() == brentq(theirs, a, b, xtol=xtol, rtol=rtol).hex()
+    assert mine_seen == theirs_seen and calls == len(mine_seen)
+    return root
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: x * x - 2.0, 0.5, 3.0),
+        (lambda x: math.cos(x) - x, 0.1, 1.0),
+        (lambda x: x**3 - x - 1.0, 1.0, 2.0),
+        (lambda x: math.tanh(50.0 * (x - 0.123)), 0.01, 1.0),
+        (lambda x: 3.0 - math.exp(x), 4.0, 0.5),
+        (lambda x: math.atan(x - 1.0) * 1e-300, 0.25, 8.0),
+    ],
+    ids=["quadratic", "cosine", "cubic", "steep", "reversed", "tiny_values"],
+)
+def test_brent_equals_brentq_bit_for_bit(f, a, b):
+    # the port evaluates f at the same points as scipy's brentq, in order,
+    # at the shooting solver's tolerances
+    _brent_against_brentq(f, a, b, ROOT_RTOL * min(a, b), ROOT_RTOL)
+
+
+def test_brent_equals_brentq_on_random_brackets():
+    # rounding differences of the inverse quadratic step show on a few
+    # brackets in a hundred, so many brackets are drawn
+    rng = np.random.default_rng(0)
+    funcs = (
+        lambda x: math.cos(x) - x,
+        lambda x: x**3 - x - 1.0,
+        lambda x: math.exp(x) - 3.0,
+        lambda x: math.atan(x - 0.3),
+        lambda x: math.sinh(2.0 * x - 1.4),
+    )
+    checked = 0
+    for _ in range(1000):
+        f = funcs[rng.integers(len(funcs))]
+        a, b = rng.uniform(-3.0, 1.0), rng.uniform(1.0, 4.0)
+        if (f(a) < 0) != (f(b) < 0):
+            xtol, rtol = float(rng.choice([1e-12, 2e-12])), float(rng.choice([ROOT_RTOL, 1e-8]))
+            _brent_against_brentq(f, a, b, xtol, rtol)
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        lambda: kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.25), 2.0),
+        lambda: kahler_dirichlet_bound(CurvatureParams(m=2, kappa1=0.25, kappa2=1.0), 0.0, 0.6),
+        lambda: kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.0), 1.0),
+        lambda: kahler_neumann_bound(CurvatureParams(m=2, kappa1=1.0), math.pi / 2),
+        lambda: kahler_neumann_bound(CurvatureParams(m=5, kappa1=0.0, kappa2=1.0), math.pi),
+    ],
+    ids=["kahler_neumann", "kahler_dirichlet", "flat", "kappa1_sharp", "kappa2_sharp"],
+)
+def test_brent_equals_brentq_on_shooting(result):
+    # S(lam) on the walk's bracket of the benchmark's five panel bounds; the
+    # solver, starting from the walk's sweeps of the ends, lands on the root
+    problem = result().problem
+    shooter = _Shooter(problem)
+    lo, hi, _ = _bracket(shooter)
+    table = shooter.mesh(hi)[1]
+    root = _brent_against_brentq(lambda lam: _shoot(table, lam), lo, hi, ROOT_RTOL * lo, ROOT_RTOL)
+    assert solve_shooting(problem).value == _unscaled(root, shooter.e)
+
+
+def test_brent_failures_are_solver_errors():
+    def step(x):
+        return 1.0 if x < 0.1 else -1.0
+
+    # only bisection applies, and 100 halvings leave the bracket far wider than xtol
+    with pytest.raises(RuntimeError):
+        brentq(step, 1e-300, 1e300, xtol=1e-300, rtol=ROOT_RTOL)
+    with pytest.raises(SolverError, match="did not converge in 100 iterations"):
+        _brent(step, 1e-300, 1e300, None, None, 1e-300, ROOT_RTOL)
+    with pytest.raises(SolverError, match="no sign change"):
+        _brent(step, 0.2, 0.3, None, None, 1e-12, ROOT_RTOL)
 
 
 @pytest.mark.parametrize(
