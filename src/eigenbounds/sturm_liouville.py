@@ -32,20 +32,21 @@ half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
 constants.  eigen_limit extrapolates eigenvalues from truncated problems;
 no bound calls it, and it stays only because the benchmark tracer looks up
-bounds.eigen_limit, until ROADMAP item 1.
+bounds.eigen_limit, until ROADMAP item 2.  eigh_tridiagonal solves the
+surface modes.  LAPACK comes from scipy's compiled _flapack (_load_flapack).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# unused here: only the benchmark tracer looks up sturm_liouville.eigh_tridiagonal;
-# drop with its span
-from scipy.linalg import eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure, ZeroDenominator
 
@@ -90,6 +91,58 @@ def check_length(what, ell):
         raise DomainError(
             f"{what} must be at least {MIN_LENGTH} (eigenvalues scale like 1/length^2), got {ell}"
         )
+
+
+# ---------------------------------------------------------------------------
+# LAPACK
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded without importing the scipy.linalg package.
+
+    That import takes about 300 ms, most of a command's start-up (its
+    array-API layer loads numpy.f2py); the extension alone loads in a few ms.
+    It is registered under its own name, so scipy.linalg.lapack, once
+    imported, exports the same function objects.  Where the file is not
+    found, the package import is the fallback.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
+_flapack = _load_flapack()
+dtbtrs = _flapack.dtbtrs
+
+
+def eigh_tridiagonal(d, e, count):
+    """The `count` smallest eigenvalues, ascending, of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e: dstebz by
+    bisection, the call of scipy.linalg.eigh_tridiagonal(select="i",
+    eigvals_only=True), with its refusals as SolverErrors.
+    """
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise SolverError("tridiagonal eigenproblem has non-finite entries")
+    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, 1, count, 0.0, "E")
+    if info != 0:
+        raise SolverError(f"tridiagonal eigensolve failed: LAPACK dstebz info = {info}")
+    if m < count:
+        raise SolverError(f"tridiagonal eigensolve returned {m} of {count} eigenvalues")
+    return w[:count]
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-# unused here: only the benchmark tracer looks up surfaces.dijkstra; drop with its span
-from scipy.sparse.csgraph import dijkstra  # noqa: F401
 
 from .bounds import kahler_neumann_bound
 from .coefficients import CurvatureParams, weight_kahler_radius
 from .errors import ProfileError, SolverError
+from .sturm_liouville import eigh_tridiagonal
 
 __all__ = [
     "SurfaceProfile",
@@ -48,6 +46,18 @@ __all__ = [
     "surface_diameter_upper",
     "comparison_check",
 ]
+
+
+def __getattr__(name):
+    # only the benchmark tracer looks up surfaces.dijkstra: resolved on that
+    # lookup, as scipy.sparse.csgraph loads scipy.linalg; goes with its span
+    # (ROADMAP item 2)
+    if name == "dijkstra":
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # minimal analytic Gauss curvature accepted by the random generator
 CONVEX_K_FLOOR = 0.05
@@ -313,7 +323,7 @@ def _mode_values(profile: SurfaceProfile, n: int, modes: int):
     for k in range(modes + 1):
         td = (diag + (k * k) / w_cell if k > 0 else diag) / w_cell
         want = 1 if k == 0 else 0
-        vals = eigh_tridiagonal(td, te, select="i", select_range=(0, want), eigvals_only=True)
+        vals = eigh_tridiagonal(td, te, want + 1)
         if k == 0 and abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
             raise SolverError(f"zero mode of the k=0 problem came out as {vals[0]}")
         values.append(float(vals[want]))

@@ -1,5 +1,9 @@
 import gc
+import json
 import math
+import subprocess
+import sys
+import types
 import weakref
 
 import numpy as np
@@ -444,9 +448,9 @@ def test_fd_requests_eigenvalues_only(monkeypatch, solve, pencils):
     inner = sturm_liouville.eigh_tridiagonal
     calls = []
 
-    def spy(d, e, **kwargs):
-        calls.append((len(d), kwargs.get("eigvals_only")))
-        return inner(d, e, **kwargs)
+    def spy(d, e, count):
+        calls.append((len(d), count))
+        return inner(d, e, count)
 
     monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", spy)
     solve(100)
@@ -790,3 +794,93 @@ def test_slproblem_validation():
         SLProblem(length=-1.0, weight=flat)
     with pytest.raises(TypeError):
         SLProblem(length=1.0)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK loaded without the scipy.linalg package
+
+# A fresh interpreter imports the CLI (with the file lookup made to miss in
+# the fallback case), then scipy.linalg, and compares the routines and the
+# surface mode values.  The extension is registered as scipy.linalg._flapack,
+# so `from scipy.linalg import _flapack` finds it, but the attribute
+# scipy.linalg._flapack stays missing until scipy re-binds it.
+_FLAPACK_SCRIPT = """
+import importlib.util, json, sys
+import numpy as np
+if sys.argv[1] == "fallback":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+import eigenbounds.cli
+from eigenbounds import sturm_liouville, surfaces
+if sys.argv[1] == "fallback":
+    importlib.util.find_spec = find_spec
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+import scipy.linalg
+from scipy.linalg import _flapack, lapack
+ops = []
+def spy(d, e, count):
+    vals = sturm_liouville.eigh_tridiagonal(d, e, count)
+    ops.append((d, e, count, vals))
+    return vals
+surfaces.eigh_tridiagonal = spy
+profiles = (surfaces.sphere_profile(1.0),
+            surfaces.random_convex_profile(np.random.default_rng(3)))
+for profile in profiles:
+    for n in (512, 1024):
+        surfaces._mode_values(profile, n, 3)
+differ = [
+    len(d) for d, e, count, vals in ops
+    if scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
+                                     eigvals_only=True).tobytes() != vals.tobytes()
+]
+print(json.dumps({
+    "loaded": loaded,
+    "same_module": _flapack is sturm_liouville._flapack,
+    "same_dtbtrs": lapack.dtbtrs is sturm_liouville.dtbtrs,
+    "solves": len(ops),
+    "differ": differ,
+}))
+"""
+
+
+@pytest.mark.parametrize("path", ["loader", "fallback"])
+def test_flapack_is_scipys_and_solves_bit_for_bit(path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLAPACK_SCRIPT, path], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    # the loader brings in no scipy package; the fallback imports scipy.linalg
+    if path == "loader":
+        assert got["loaded"] == ["scipy.linalg._flapack"]
+    else:
+        assert "scipy.linalg" in got["loaded"]
+    assert got["same_module"] and got["same_dtbtrs"]
+    # two profiles, two grids, modes 0 to 3
+    assert got["solves"] == 16
+    assert got["differ"] == []
+
+
+@pytest.mark.parametrize("where, value", [(0, np.nan), (0, np.inf), (1, np.nan), (1, -np.inf)])
+def test_eigh_tridiagonal_refuses_non_finite_entries(where, value):
+    # scipy's check_finite raised a ValueError here, a traceback at the CLI
+    diagonals = [np.full(8, 2.0), np.full(7, -1.0)]
+    diagonals[where][3] = value
+    with pytest.raises(SolverError, match="non-finite"):
+        sturm_liouville.eigh_tridiagonal(*diagonals, 2)
+
+
+def test_eigh_tridiagonal_refuses_nonzero_info():
+    # more eigenvalues than rows: dstebz refuses its 7th argument, iu
+    with pytest.raises(SolverError, match="info = -7"):
+        sturm_liouville.eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), 4)
+
+
+def test_eigh_tridiagonal_refuses_short_result(monkeypatch):
+    # dstebz reporting fewer eigenvalues than asked for, with info = 0
+    def dstebz(d, e, *args):
+        return 1, np.zeros(len(d)), None, None, 0
+
+    monkeypatch.setattr(sturm_liouville, "_flapack", types.SimpleNamespace(dstebz=dstebz))
+    with pytest.raises(SolverError, match="1 of 2 eigenvalues"):
+        sturm_liouville.eigh_tridiagonal(np.full(8, 2.0), np.full(7, -1.0), 2)
