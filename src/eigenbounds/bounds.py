@@ -125,17 +125,16 @@ def _check(name, actual, limit):
     return {"name": name, "actual": actual, "limit": limit, "ok": True}
 
 
-def _solve_pair(weight_fn, ell, rad, tag, name, validity, order, n):
+def _solve_pair(weight_fn, ell, power, tag, name, validity, order, n):
     """Run both solvers on the weight on [0, ell] and assemble a BoundResult.
 
     For order > 0 the weight vanishes at ell to that order (the sharp
     case): shooting imposes boundedness at a cut short of ell (see
     `sturm_liouville._cut`), finite differences solve up to ell with no
-    mass there.  Otherwise, when ell ends within a tenth of itself of the
-    weight's validity radius `rad`, the gap grades the shooting mesh.
+    mass there.  `power`, the summed power of the weight's non-constant
+    factors, sizes the shooting mesh (see `sturm_liouville._Shooter`).
     """
-    layer = rad - ell if (math.isfinite(rad) and rad - ell < 0.1 * ell) else None
-    problem = SLProblem(length=ell, weight=weight_fn, layer=layer, name=name, order=order)
+    problem = SLProblem(length=ell, weight=weight_fn, power=power, name=name, order=order)
     shoot = solve_shooting(problem)
     fd = solve_fd(problem, n=n)
     agreement = abs(shoot.value - fd.value) / max(abs(shoot.value), abs(fd.value))
@@ -173,7 +172,8 @@ def _neumann(factors, names, D, weight_fn, tag, name, n):
             validity.append(_check(check, D, cap))
             if D >= cap * (1.0 - SHARP_RTOL):
                 order += p
-    return _solve_pair(weight_fn, 0.5 * D, weight_radius(factors), tag, name, validity, order, n)
+    power = sum(p for k, p in factors if k)  # of the non-constant factors
+    return _solve_pair(weight_fn, 0.5 * D, power, tag, name, validity, order, n)
 
 
 def _dirichlet(factors, names, lam, R, weight_fn, tag, name, n):
@@ -190,8 +190,9 @@ def _dirichlet(factors, names, lam, R, weight_fn, tag, name, n):
         raise InradiusExceedsValidity(
             f"R = {R} reaches the validity radius {rad} (first zero of the {binding} factor)"
         )
+    power = sum(p for k, p in factors if k or lam)  # with lam != 0 no factor is constant
     return _solve_pair(
-        weight_fn, R, rad, tag, name, [_check("inradius_validity_radius", R, rad)], 0, n
+        weight_fn, R, power, tag, name, [_check("inradius_validity_radius", R, rad)], 0, n
     )
 
 

@@ -149,17 +149,17 @@ def eigh_tridiagonal(d, e, count):
 class SLProblem:
     """The mixed problem (w phi')' = -lam*w*phi, phi(0) = 0, phi'(length) = 0.
 
-    `weight` is w(t) > 0 on [0, length).  `layer`, when set, is the
-    distance scale on which the weight varies near the right endpoint
-    (used to grade the shooting mesh).  `order` > 0 says the weight
-    vanishes at `length` to that order: solve_shooting then cuts the
-    interval (see _cut), and solve_fd puts no mass at `length`, where the
-    weight is never evaluated.
+    `weight` is w(t) > 0 on [0, length).  `power` is the summed power of
+    the weight's non-constant factors, 0 when it has none or is not a
+    product of factors; it sizes the shooting mesh (see _Shooter).
+    `order` > 0 says the weight vanishes at `length` to that order:
+    solve_shooting then cuts the interval (see _cut), and solve_fd puts no
+    mass at `length`, where the weight is never evaluated.
     """
 
     length: float
     weight: Callable
-    layer: float | None = None
+    power: float = 0
     name: str = ""
     order: float = 0
 
@@ -186,10 +186,11 @@ class EigenResult:
 # meshes and weight tables for the shooting integrator
 
 
-def _build_mesh(ell: float, n_uniform: int, layer: float | None) -> np.ndarray:
-    """Integration nodes on [0, ell], geometrically graded into a right
-    boundary layer of width `layer` when one is declared."""
-    if layer is None or layer <= 0 or layer >= 0.1 * ell:
+def _build_mesh(ell: float, n_uniform: int, layer: float) -> np.ndarray:
+    """Integration nodes on [0, ell]: uniform, or with a `layer` > 0 (a cut's
+    eps, see _Shooter) geometrically graded into a right boundary layer of
+    that width."""
+    if not layer:
         return np.linspace(0.0, ell, n_uniform + 1)
     h = ell / n_uniform
     # switch to graded cells once the distance to the singular point
@@ -208,10 +209,11 @@ def _build_mesh(ell: float, n_uniform: int, layer: float | None) -> np.ndarray:
 
 def _weight_tables(problem: SLProblem, ts: np.ndarray):
     """The weight at the nodes `ts` and the cell midpoints, up to the last
-    node before a trailing run of samples below the smallest normal float:
-    the weight has underflowed there, and the caller ends the mesh at
-    len(w_nodes) nodes.  A sample <= 0 before that run, or < 0 in it, is a
-    DomainError."""
+    node before a trailing run of samples below 8 times the smallest normal
+    float: the weight has underflowed there, the caller ends the mesh at
+    len(w_nodes) nodes, and the kept samples' reciprocals in _step_bands,
+    1/w0 + 4/wm + 1/w1, stay finite.  A sample <= 0 before that run, or < 0
+    in it, is a DomainError."""
     # one call along the mesh, node 0, mid 0, node 1, ...
     points = np.empty(2 * len(ts) - 1)
     points[0::2], points[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
@@ -219,8 +221,8 @@ def _weight_tables(problem: SLProblem, ts: np.ndarray):
     # is a solver failure, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.asarray(problem.weight(points), dtype=float)
-    # keep the nodes up to the last one not below the smallest normal float
-    normal = np.flatnonzero(~(samples < np.finfo(float).tiny))
+    # keep the nodes up to the last one not below 8 times the smallest normal float
+    normal = np.flatnonzero(~(samples < 8.0 * np.finfo(float).tiny))
     keep = normal[-1] // 2 + 1 if normal.size else 0
     if keep < 2 or np.any(samples[: 2 * keep - 1] <= 0) or np.any(samples < 0):
         raise DomainError("weight not positive on [0, ell]")
@@ -325,10 +327,14 @@ class _Shooter:
     powers of two, so h^3 and h^4 in the band stay normal at any length, and
     values match the unscaled solve bit for bit wherever that stayed normal.
 
-    With `order` p > 0 the mesh ends at the cut, graded into a layer eps, with at
-    least 850 sqrt(p) uniform steps: RK4's relative error on a weight that falls
-    like a Gaussian of width ell/sqrt(p) grows like p^2 h^4 (4.9e-12 at p = 98 on
-    4,000 steps); this keeps it below 3e-13 and binds from p = 23.
+    The mesh is uniform, with at least 2,000 steps, 60 per radian of the
+    phase of lam, 850 sqrt(P), P the problem's `power` (RK4's relative error
+    on a weight that falls like a Gaussian of width ell/sqrt(P) grows like
+    P^2 h^4, and this keeps it below 3e-13), and 600 per unit of ell
+    |w'(0)/w(0)|, up to 40,000, read from the first mesh's first cell (a
+    Dirichlet model weight starts like exp(-lam' P t)).  With `order` p > 0
+    the mesh ends at the cut, graded into a layer eps, with at least 4,000
+    steps, and P is at least p.
     """
 
     def __init__(self, problem: SLProblem):
@@ -337,22 +343,27 @@ class _Shooter:
         self.scaled = SLProblem(
             length=math.ldexp(problem.length, -e),
             weight=lambda t: problem.weight(np.ldexp(t, e)),
-            layer=None if problem.layer is None else math.ldexp(problem.layer, -e),
             order=problem.order,
         )
         self._cache = {}
+        self._sized = False
         self.eps = _cut(problem.order) * self.scaled.length if problem.order > 0 else 0.0
-        self.layer = self.eps or self.scaled.layer
-        self.steps = int(850.0 * math.sqrt(problem.order)) if self.eps else 0
+        power = max(problem.power, problem.order)
+        self.steps = max(4000 if self.eps else 2000, int(850.0 * math.sqrt(power)))
 
     def mesh(self, lam):
-        """Nodes and (bands, rhs, mass) table resolving the phase of lam: 60
-        steps per radian, at least 4,000."""
+        """Nodes and (bands, rhs, mass) table resolving the phase of lam."""
         phase = math.sqrt(max(lam, 0.0)) * self.scaled.length
-        n_uniform = max(4000, int(60.0 * phase), self.steps)
+        n_uniform = max(self.steps, int(60.0 * phase))
         if n_uniform not in self._cache:
-            ts = _build_mesh(self.scaled.length - self.eps, n_uniform, self.layer)
+            ts = _build_mesh(self.scaled.length - self.eps, n_uniform, self.eps)
             w_nodes, w_mids = _weight_tables(self.scaled, ts)
+            if not self._sized:
+                self._sized = True
+                slope = abs(math.log(w_nodes[1]) - math.log(w_nodes[0])) * n_uniform
+                self.steps = max(self.steps, min(40000, int(600.0 * slope)))
+                if self.steps > n_uniform:
+                    return self.mesh(lam)
             ts = ts[: len(w_nodes)]
             rhs = np.zeros(2 * len(ts))
             rhs[1] = w_nodes[0]
@@ -475,6 +486,9 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     to the nearest sweep 1e-8 lam or more below the root, times the mass's
     relative error from its next Frobenius terms (the weight's departure
     from (ell - t)^p over the last cell, and phi's variation over the tail).
+    Where the weight underflows short of the cut (see _weight_tables),
+    cut_error is only the error of the end mass at the last kept node, not
+    of the dropped tail, whose weight is below 8 times the smallest normal float.
     """
     shooter = _Shooter(problem)
     lo, hi, swept = _bracket(shooter)
@@ -501,9 +515,11 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     cut_error = None
     if shooter.eps:
         p, eps = problem.order, shooter.eps
-        r = (shooter.scaled.length - ts[-2]) / eps
-        w_in, w_cut = np.asarray(shooter.scaled.weight(ts[-2:]), dtype=float)
-        rel = abs(w_in / (w_cut * r**p) - 1.0) / ((r - 1.0) * (p + 2.0))
+        r = float((shooter.scaled.length - ts[-2]) / eps)
+        w_in, w_cut = (float(w) for w in shooter.scaled.weight(ts[-2:]))
+        # w_in/(w_cut r^p) is 0 where r^p overflows: the mesh ended far short of the cut
+        dev = w_in / (w_cut * r**p) - 1.0 if p * math.log(r) < 709.0 else -1.0
+        rel = abs(dev) / ((r - 1.0) * (p + 2.0))
         rel += lam * eps * eps / ((p + 1.0) * (p + 3.0))
         near = max((v for v in svals if v <= lam * (1 - 1e-8) and svals[v][0] > 0.0), default=lo)
         slope = (svals[near][0] - s_root) / (lam - near)

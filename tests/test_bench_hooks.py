@@ -56,7 +56,7 @@ def test_sharp_bound_layers(capsys):
 def test_regular_bound_layer_counters(capsys):
     # the per-layer work counters the benchmark reads: the FD side runs its
     # Green's-function iteration, so no eigh_tridiagonal pencil.  One weight
-    # call for the shooting mesh (4,001 nodes and 4,000 midpoints), and one
+    # call for the shooting mesh (2,001 nodes and 2,000 midpoints), and one
     # for both FD grids, on the 2n = 4,000 grid's half-cell lattice: its
     # 3,999 inner nodes, its 4,000 faces and the end node; a second FD
     # table would add 4,000 points
@@ -71,7 +71,7 @@ def test_regular_bound_layer_counters(capsys):
     assert metrics["sturm_liouville.eigh_tridiagonal.calls"] == 0
     assert metrics["sturm_liouville.eigh_tridiagonal.rows"] == 0
     assert metrics["coefficients.weight.calls"] == 2
-    assert metrics["coefficients.weight.points"] == 8001 + 8000
+    assert metrics["coefficients.weight.points"] == 4001 + 8000
 
 
 def test_full_interval_check_traces_no_pencil(capsys):

@@ -16,7 +16,7 @@ from eigenbounds.bounds import (
     riemannian_dirichlet_bound,
     riemannian_neumann_bound,
 )
-from eigenbounds.coefficients import CurvatureParams
+from eigenbounds.coefficients import CurvatureParams, kahler_factors, weight_radius
 from eigenbounds.errors import (
     DiameterExceedsMaximal,
     DomainError,
@@ -101,7 +101,7 @@ class TestShootingWork:
             (CurvatureParams(m=2, kappa1=1.0), 0.999 * math.pi / 2, 9),
             (CurvatureParams(m=2, kappa1=1.0), math.pi / 2, 9),
         ],
-        ids=["regular", "flat", "graded_near_cap", "kappa1_sharp"],
+        ids=["regular", "flat", "near_cap", "kappa1_sharp"],
     )
     def test_sweeps_counts_shooting_evaluations(self, monkeypatch, params, D, sweeps):
         # EigenResult.sweeps is the number of S(lam) sweeps actually run by the
@@ -218,6 +218,41 @@ class TestCrossMethod:
             D = 0.85 * cap
             r = kahler_neumann_bound(CurvatureParams(m=m, kappa1=k1, kappa2=k2), D)
             assert r.method_agreement < 1e-5
+
+    def test_near_cap_draws_match_fine_fd(self):
+        # 40 draws within 10^-1 to 10^-11 of a kahler-neumann cap or of the
+        # kahler-dirichlet validity radius, in the benchmark's near-cap ranges:
+        # each bound is within 1e-12 of FD at n = 16,000 (a mesh graded into
+        # the gap to the weight's zero was up to 1.6e-7 off on such draws)
+        rng = np.random.default_rng(20240901)
+        for i in range(40):
+            m, k1, k2 = int(rng.integers(1, 9)), rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0)
+            params = CurvatureParams(m=m, kappa1=k1, kappa2=k2)
+            gap = 10.0 ** -rng.uniform(1.0, 11.0)
+            if i % 2:
+                lam = rng.uniform(0.1, 1.0)
+                R = weight_radius(kahler_factors(params), lam) * (1.0 - gap)
+                r = kahler_dirichlet_bound(params, lam, R)
+            else:
+                r = kahler_neumann_bound(params, 2.0 * weight_radius(kahler_factors(params)) * (1.0 - gap))
+            fine = sturm_liouville.solve_fd(r.problem, n=16000).value
+            assert r.value == pytest.approx(fine, rel=1e-12, abs=0.0), (params, gap)
+
+    @pytest.mark.parametrize(
+        "params, lam, R",
+        [
+            (CurvatureParams(m=9, kappa1=0.23, kappa2=0.65), -0.95, 2.4),
+            (CurvatureParams(m=4, kappa1=-0.6, kappa2=0.2), -0.6, 5.4),
+        ],
+        ids=["m9", "m4"],
+    )
+    def test_dirichlet_start_slope_sizes_the_mesh(self, params, lam, R):
+        # with lam < 0 the boundary weight rises about e^7-fold from its slope
+        # -lam P at 0 before it falls to its zero; 850 sqrt(P) steps alone were
+        # 6.0e-12 and 4.1e-12 off, the graded mesh 3.3e-11 and 2.4e-9
+        r = kahler_dirichlet_bound(params, lam, R)
+        fine = sturm_liouville.solve_fd(r.problem, n=16000).value
+        assert r.value == pytest.approx(fine, rel=1e-12, abs=0.0)
 
     def test_negative_curvature_methods_agree(self):
         r = kahler_neumann_bound(CurvatureParams(m=2, kappa1=-1.0, kappa2=-1.0), D=3.0)

@@ -217,18 +217,36 @@ class TestBound:
             (("kahler-neumann", "--m", "50", "--k2", "1", "--D", repr((1 - 1e-9) * math.pi)), 99.0),
             (("kahler-neumann", "--m", "20", "--k2", "1", "--D", repr((1 - 1e-9) * math.pi)), 39.0),
             (("riemannian-neumann", "--n", "2000", "--k", "1", "--D", repr(0.99 * math.pi)), 2e3),
+            (("riemannian-neumann", "--n", "2000", "--k", "1", "--D", repr(0.9 * math.pi)), 2e3),
+            (("riemannian-neumann", "--n", "2000", "--k", "1", "--D", repr((1 - 1e-5) * math.pi)), 2e3),
+            (("riemannian-neumann", "--n", "500", "--k", "1", "--D", repr((1 - 1e-13) * math.pi)), 5e2),
         ],
-        ids=["m50-0.9999", "m50-1e-6", "m50-1e-9", "m20-1e-9", "n2000-0.99"],
+        ids=["m50-0.9999", "m50-1e-6", "m50-1e-9", "m20-1e-9", "n2000-0.99", "n2000-0.9",
+             "n2000-1e-5", "n500-1e-13"],
     )
     def test_near_cap_weight_underflow_is_cut(self, capsys, argv, exact):
         # the weight underflows on the last cells of the shooting mesh; the
-        # mesh ends before them, as the FD grid does, and the bound sits just
-        # above the sharp value at the cap
+        # mesh ends before the samples below 8 times the smallest normal
+        # float, as the FD grid ends before its zeros, and the bound sits just
+        # above the sharp value at the cap.  The last row is on the cap within
+        # SHARP_RTOL, a cut problem whose weight underflows short of the cut
         code, out, err = run_cli(capsys, "bound", *argv)
         assert code == 0 and err == ""
         res = parse_json(out)["results"]
         assert res["value"] == pytest.approx(exact, rel=1e-8) and res["value"] > exact
         assert res["method_agreement"] < 1e-8
+
+    def test_near_cap_bound_is_not_above_the_model_value(self, capsys):
+        # D = 1.44 is 0.917 of the kappa1 cap: FD at n = 32,000 and a uniform
+        # shooting mesh agree on 26.4005433544030, and a mesh graded into the
+        # gap to the cap returned 26.400590875055894, a lower bound 1.8e-6 too high
+        code, out, err = run_cli(
+            capsys, "bound", "kahler-neumann", "--m", "6", "--k1", "1", "--k2", "2", "--D", "1.44"
+        )
+        assert code == 0 and err == ""
+        res = parse_json(out)["results"]
+        assert res["value"] == pytest.approx(26.4005433544030, rel=1e-12)
+        assert res["method_agreement"] < 1e-12
 
     def test_negative_exponent_flag_is_a_value(self, capsys):
         # argparse's negative-number pattern misses exponent notation

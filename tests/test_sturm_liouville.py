@@ -47,13 +47,10 @@ def cos_pow(p):
 
 FLAT = SLProblem(length=1.0, weight=flat)
 KAHLER_K1 = CurvatureParams(m=2, kappa1=1.0)
-# graded mesh: the interval ends just short of the weight's zero at pi/4
-NEAR_CAP = SLProblem(0.75, lambda t: weight_kahler(KAHLER_K1, t), layer=math.pi / 4 - 0.75)
-# the finest truncation of the kappa1-sharp bound, h = 0.04/32 short of pi/4
-SHARP_H = 0.04 / 32
-SHARP_TRUNCATED = SLProblem(
-    math.pi / 4 * (1 - SHARP_H), lambda t: np.cos(2 * np.asarray(t, float)), layer=math.pi / 4 * SHARP_H
-)
+# the interval ends just short of the weight's zero at pi/4
+NEAR_CAP = SLProblem(0.75, lambda t: weight_kahler(KAHLER_K1, t))
+# the kappa1-sharp bound's problem: shooting cuts it, on a mesh graded into the cut
+SHARP = SLProblem(math.pi / 4, lambda t: np.cos(2 * np.asarray(t, float)), order=1)
 # kappa < 0: the weight cosh(2t) cosh(t)^4 grows 21-fold along the interval
 GROWING = SLProblem(1.0, lambda t: weight_kahler(CurvatureParams(m=3, kappa1=-1.0, kappa2=-1.0), t))
 
@@ -149,22 +146,66 @@ def test_shooting_sign_marks_first_eigenvalue(problem):
 
 
 @pytest.mark.parametrize(
-    "problem", [SLProblem(1.0, cos_pow(2)), SHARP_TRUNCATED, GROWING],
+    "problem", [SLProblem(1.0, cos_pow(2)), SHARP, GROWING],
     ids=["uniform", "graded_sharp", "growing"],
 )
 def test_banded_kernel_matches_rk4_reference(problem):
     # the banded solve is the RK4 recurrence: S(lam) agrees with the float
-    # loop to rounding
+    # loop to rounding, on a uniform mesh and on one graded into a cut (the
+    # loop has no end mass, so the kernel runs without it)
     r = solve_shooting(problem)
-    ts, table = _Shooter(problem).mesh(r.value)
-    if problem is SHARP_TRUNCATED:
+    ts, (bands, rhs, _) = _Shooter(problem).mesh(r.value)
+    if problem is SHARP:
         assert np.ptp(np.diff(ts)) > 0.0
     else:
         assert np.allclose(np.diff(ts), ts[1], rtol=1e-12)
-    w0 = float(table[1][1])
+    w0 = float(rhs[1])
     for lam in r.value * np.geomspace(0.05, 30.0, 20):
-        kernel = _shoot(table, float(lam))
+        kernel = _shoot((bands, rhs, 0.0), float(lam))
         assert abs(kernel - rk4_reference(problem, ts, float(lam))) <= 1e-12 * w0, lam
+
+
+@pytest.mark.parametrize(
+    "power, lam, steps",
+    [(0, 1.0, 2000), (5, 1.0, 2000), (9, 1.0, 2550), (98, 1.0, 8414), (1999, 1.0, 38003), (9, 4e6, 120000)],
+)
+def test_regular_mesh_is_uniform_and_sized_by_power(power, lam, steps):
+    # max(2000, 60 steps per radian of the phase, 850 sqrt(P)) uniform steps
+    ts, _ = _Shooter(SLProblem(1.0, flat, power=power)).mesh(lam)
+    assert len(ts) - 1 == steps
+    assert ts[0] == 0.0 and ts[-1] == 1.0
+    assert np.allclose(np.diff(ts), 1.0 / steps, rtol=1e-9)
+
+
+@pytest.mark.parametrize("rate, steps", [(1.0, 2000), (10.001, 6000), (80.0, 40000)])
+def test_regular_mesh_resolves_the_start_slope(rate, steps):
+    # 600 steps per unit of ell |w'(0)/w(0)|, up to 40,000, on every mesh of
+    # the problem, the first one included
+    shooter = _Shooter(SLProblem(1.0, lambda t: np.exp(-rate * np.asarray(t, float))))
+    for lam in (1.0, 4.0, 1.0):
+        ts, _ = shooter.mesh(lam)
+        assert len(ts) - 1 == steps
+        assert np.allclose(np.diff(ts), 1.0 / steps, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "problem, lam, cells, first, last",
+    [
+        (SHARP, 8.0, 4039, 1.9630036923657502e-4, 5.138527913173263e-7),
+        (SHARP, 1e5, 14930, 5.2704209974823406e-5, 5.142603283214697e-7),
+        (SLProblem(math.pi / 2, cos_pow(98), order=98), 99.0, 8400, 9.324789256691602e-5, 1.0548880825367313e-4),
+    ],
+    ids=["p1", "p1_phase", "p98"],
+)
+def test_cut_mesh_is_graded_into_the_cut(problem, lam, cells, first, last):
+    # a cut problem keeps its graded mesh: at least 4,000 steps, 60 per radian
+    # and 850 sqrt(p), ending at the cut (in units of 2^e, see _Shooter)
+    shooter = _Shooter(problem)
+    ts, _ = shooter.mesh(lam)
+    h = np.diff(ts)
+    assert len(ts) - 1 == cells
+    assert ts[-1] == pytest.approx(shooter.scaled.length - shooter.eps, rel=1e-15)
+    assert h[0] == pytest.approx(first, rel=1e-12) and h[-1] == pytest.approx(last, rel=1e-12)
 
 
 def test_shooting_leaves_no_table_alive(monkeypatch):
@@ -404,11 +445,25 @@ def test_overflowing_weight_is_solver_error():
         solve_shooting(SLProblem(1.0, w))
 
 
-def test_subnormal_weight_is_stability_failure():
-    # exp(-740) is subnormal, so 1/w overflows in the RK4 step coefficients:
-    # the sweep would overflow, and that is reported, not a numpy warning
+def test_subnormal_weight_tail_is_cut():
+    # exp(-740) is subnormal, and 1/w would overflow in the RK4 step
+    # coefficients: the mesh ends before the samples below 8 times the
+    # smallest normal float, near t = 0.955.  On what is left the drift puts
+    # the first eigenvalue above 740^2/4, past the scan ceiling, which is
+    # reported, not a numpy warning
     w = lambda t: np.exp(-740.0 * np.asarray(t, float))
-    with pytest.raises(StabilityFailure):
+    ts, _ = _Shooter(SLProblem(1.0, w)).mesh(1.0)
+    assert 0.95 < ts[-1] < 0.96 and w(ts[-1]) >= 8.0 * np.finfo(float).tiny
+    with pytest.raises(NoBracketFound, match="no sign change of the shooting function up to"):
+        solve_shooting(SLProblem(1.0, w))
+
+
+def test_weight_ratio_overflow_is_stability_failure():
+    # a weight that falls from 1e300 to 1e-300 within one cell: both are kept
+    # samples, but w0/wm overflows in the RK4 step coefficients, so the sweep
+    # would overflow, and that is reported, not a numpy warning
+    w = lambda t: np.where(np.asarray(t, float) < 0.5, 1e300, 1e-300)
+    with pytest.raises(StabilityFailure, match="shooting integration overflowed"):
         solve_shooting(SLProblem(1.0, w))
 
 
