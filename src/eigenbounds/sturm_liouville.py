@@ -9,7 +9,8 @@ Two independent routes to the same eigenvalues:
     method (_brent, a port of scipy's brentq).
     The system is linear, so a sweep is one banded triangular LAPACK
     solve for all node states; S(lam) = -w(0) when any node has
-    phi < 0 < u.
+    phi < 0 < u.  A solve tabulates one mesh (_Shooter), and every
+    sweep of it goes through one memo of S.
   * solve_fd: node-based finite differences for (w phi')' = -lam*w*phi,
     with face weights at the cell midpoints and a half-cell end mass at
     the end node, with Richardson extrapolation over n and 2n cells.  The
@@ -170,8 +171,8 @@ class SLProblem:
 @dataclass
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) sweeps the bracket walk and _brent ran, or for the FD solvers
-    the power iterations over both grids.  `cut_error`: see
+    S(lam) sweeps solve_shooting's memo ran, or for the FD solvers the
+    power iterations over both grids.  `cut_error`: see
     solve_shooting."""
 
     value: float
@@ -207,8 +208,8 @@ def _build_mesh(ell: float, n_uniform: int, layer: float) -> np.ndarray:
     return np.concatenate([flat, tail])
 
 
-def _weight_tables(problem: SLProblem, ts: np.ndarray):
-    """The weight at the nodes `ts` and the cell midpoints, up to the last
+def _weight_tables(weight: Callable, ts: np.ndarray):
+    """`weight` at the nodes `ts` and the cell midpoints, up to the last
     node before a trailing run of samples below 8 times the smallest normal
     float: the weight has underflowed there, the caller ends the mesh at
     len(w_nodes) nodes, and the kept samples' reciprocals in _step_bands,
@@ -220,7 +221,7 @@ def _weight_tables(problem: SLProblem, ts: np.ndarray):
     # a weight that grows like exp(a*t) overflows on a long interval; that
     # is a solver failure, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = np.asarray(problem.weight(points), dtype=float)
+        samples = np.asarray(weight(points), dtype=float)
     # keep the nodes up to the last one not below 8 times the smallest normal float
     normal = np.flatnonzero(~(samples < 8.0 * np.finfo(float).tiny))
     keep = normal[-1] // 2 + 1 if normal.size else 0
@@ -278,12 +279,12 @@ def _shoot(table, lam, end=False):
     """Classical RK4 sweep of the shooting system, as one banded solve.
 
     y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `table` is
-    (bands, rhs, mass) from _Shooter.mesh: the band of _step_bands, the
-    right side (phi_0, u_0) = (0, w(0)) with zeros after it, and the end
-    mass of a cut (see _cut; 0 without one).  Forward substitution in dtbtrs
-    is the RK4 recurrence.  Returns S(lam) = u(b) - lam*mass*phi(b) at the
-    last node b, or -w(0) past the first eigenvalue (see below), so S(lam) > 0
-    exactly when lam lies below it; with `end`, (S(lam), phi(b)).
+    (bands, rhs, mass) from _Shooter: the band of _step_bands, the right
+    side (phi_0, u_0) = (0, w(0)) with zeros after it, and the end mass of
+    a cut (see _cut; 0.0 without one), a float.  Forward substitution in
+    dtbtrs is the RK4 recurrence.  Returns S(lam) = u(b) - lam*mass*phi(b)
+    at the last node b, or -w(0) past the first eigenvalue (see below), so
+    S(lam) > 0 exactly when lam lies below it; with `end`, (S(lam), phi(b)).
     """
     bands, rhs, mass = table
     # B0 + lam*(B1 + lam*B2), formed in place
@@ -320,56 +321,49 @@ def _cut(order):
 
 
 class _Shooter:
-    """Caches one mesh and band table per resolution for repeated S(lam) sweeps.
+    """The mesh `ts` and the (bands, rhs, mass) table of one shooting solve.
 
-    It solves `scaled`, the problem in units of 2^e, e the integer nearest
-    log2(length): lengths and steps are divided and lam multiplied by exact
-    powers of two, so h^3 and h^4 in the band stay normal at any length, and
-    values match the unscaled solve bit for bit wherever that stayed normal.
+    It solves the problem in units of 2^e, e the integer nearest
+    log2(length): `length` and `weight` are the scaled ones.  Lengths and
+    steps are divided and lam multiplied by exact powers of two, so h^3 and
+    h^4 in the band stay normal at any length, and values match the
+    unscaled solve bit for bit wherever that stayed normal.
 
-    The mesh is uniform, with at least 2,000 steps, 60 per radian of the
-    phase of lam, 850 sqrt(P), P the problem's `power` (RK4's relative error
-    on a weight that falls like a Gaussian of width ell/sqrt(P) grows like
-    P^2 h^4, and this keeps it below 3e-13), and 600 per unit of ell
-    |w'(0)/w(0)|, up to 40,000, read from the first mesh's first cell (a
+    The mesh is uniform, with at least 2,000 steps, 850 sqrt(P), P the
+    problem's `power` (RK4's relative error on a weight that falls like a
+    Gaussian of width ell/sqrt(P) grows like P^2 h^4, and this keeps it
+    below 3e-13), and 600 per unit of ell |w'(0)/w(0)|, up to 40,000, read
+    from that mesh's first cell and built again where it asks for more (a
     Dirichlet model weight starts like exp(-lam' P t)).  With `order` p > 0
     the mesh ends at the cut, graded into a layer eps, with at least 4,000
-    steps, and P is at least p.
+    steps, and P is at least p.  `steps` is the uniform count.
     """
 
     def __init__(self, problem: SLProblem):
         self.problem = problem
         e = self.e = round(math.log2(problem.length))
-        self.scaled = SLProblem(
-            length=math.ldexp(problem.length, -e),
-            weight=lambda t: problem.weight(np.ldexp(t, e)),
-            order=problem.order,
-        )
-        self._cache = {}
-        self._sized = False
-        self.eps = _cut(problem.order) * self.scaled.length if problem.order > 0 else 0.0
+        self.length = math.ldexp(problem.length, -e)
+        self.weight = lambda t: problem.weight(np.ldexp(t, e))
+        self.eps = _cut(problem.order) * self.length if problem.order > 0 else 0.0
         power = max(problem.power, problem.order)
-        self.steps = max(4000 if self.eps else 2000, int(850.0 * math.sqrt(power)))
+        self.build(max(4000 if self.eps else 2000, int(850.0 * math.sqrt(power))), slope=True)
 
-    def mesh(self, lam):
-        """Nodes and (bands, rhs, mass) table resolving the phase of lam."""
-        phase = math.sqrt(max(lam, 0.0)) * self.scaled.length
-        n_uniform = max(self.steps, int(60.0 * phase))
-        if n_uniform not in self._cache:
-            ts = _build_mesh(self.scaled.length - self.eps, n_uniform, self.eps)
-            w_nodes, w_mids = _weight_tables(self.scaled, ts)
-            if not self._sized:
-                self._sized = True
-                slope = abs(math.log(w_nodes[1]) - math.log(w_nodes[0])) * n_uniform
-                self.steps = max(self.steps, min(40000, int(600.0 * slope)))
-                if self.steps > n_uniform:
-                    return self.mesh(lam)
-            ts = ts[: len(w_nodes)]
-            rhs = np.zeros(2 * len(ts))
-            rhs[1] = w_nodes[0]
-            mass = w_nodes[-1] * self.eps / (self.scaled.order + 1.0)
-            self._cache[n_uniform] = (ts, (_step_bands(ts, w_nodes, w_mids), rhs, mass))
-        return self._cache[n_uniform]
+    def build(self, steps, slope=False):
+        """Tabulate the mesh of `steps` uniform steps; with `slope`, build it
+        again at the start slope's count where that is more (see above)."""
+        ts = _build_mesh(self.length - self.eps, steps, self.eps)
+        w_nodes, w_mids = _weight_tables(self.weight, ts)
+        if slope:
+            slope = abs(math.log(w_nodes[1]) - math.log(w_nodes[0])) * steps
+            more = min(40000, int(600.0 * slope))
+            if more > steps:
+                return self.build(more)
+        self.steps = steps
+        ts = self.ts = ts[: len(w_nodes)]
+        rhs = np.zeros(2 * len(ts))
+        rhs[1] = w_nodes[0]
+        mass = float(w_nodes[-1] * self.eps / (self.problem.order + 1.0))
+        self.table = (_step_bands(ts, w_nodes, w_mids), rhs, mass)
 
 
 def _unscaled(lam, e):
@@ -385,27 +379,19 @@ def _unscaled(lam, e):
     return value
 
 
-def _bracket(shooter: _Shooter):
+def _bracket(S, shooter: _Shooter):
     """Walk by factors of 4 from pi^2/(4 ell^2) to a sign change of S,
-    inside the documented range; returns (lo, hi, swept) with
-    S(lo) > 0 >= S(hi) and swept the walk's sweeps as
-    {lam: (table, (S(lam), phi(b)))}."""
-    ell = shooter.scaled.length
+    inside the documented range, ell the shooter's scaled length; returns
+    (lo, hi) with S(lo) > 0 >= S(hi)."""
+    ell = shooter.length
     lam_lo = SCAN_FLOOR_FACTOR * math.pi**2 / (4.0 * ell * ell)
     lam_hi = SCAN_CEIL_FACTOR / (ell * ell)
     lam = math.pi**2 / (4.0 * ell * ell)
-    swept = {}
-
-    def below(lam):
-        table = shooter.mesh(lam)[1]
-        swept[lam] = (table, _shoot(table, lam, end=True))
-        return swept[lam][1][0] > 0.0
-
-    if below(lam):
+    if S(lam) > 0.0:
         while lam < lam_hi:
             lo, lam = lam, min(4.0 * lam, lam_hi)
-            if not below(lam):
-                return lo, lam, swept
+            if S(lam) <= 0.0:
+                return lo, lam
         length = shooter.problem.length
         raise NoBracketFound(
             "no sign change of the shooting function up to "
@@ -413,27 +399,25 @@ def _bracket(shooter: _Shooter):
         )
     while lam > lam_lo:
         hi, lam = lam, max(0.25 * lam, lam_lo)
-        if below(lam):
-            return lam, hi, swept
+        if S(lam) > 0.0:
+            return lam, hi
     raise NoBracketFound(
         "shooting function not positive at the scan floor; "
         "first eigenvalue below the documented scan range"
     )
 
 
-def _brent(f, xa, xb, fa, fb, xtol, rtol):
-    """Root of f between xa and xb, and the number of calls to f made: a port
-    of scipy's brentq.c (Brent 1973, ch. 4) with the same float operations in
-    the same order, so its iterates equal brentq's bit for bit.  fa and fb are
-    f(xa) and f(xb), None to evaluate; f returns finite floats.  xblk is the
-    bracket end across the root from xcur.  No sign change, or no convergence
-    in ROOT_MAX_ITERATIONS steps (brentq's default), is a SolverError."""
+def _brent(f, xa, xb, xtol, rtol):
+    """Root of f between xa and xb: a port of scipy's brentq.c (Brent 1973,
+    ch. 4) with the same float operations in the same order, so its iterates
+    equal brentq's bit for bit.  f returns finite floats.  xblk is the
+    bracket end across the root from xcur.  No sign change, or no
+    convergence in ROOT_MAX_ITERATIONS steps (brentq's default), is a
+    SolverError."""
     xpre, xcur = xa, xb
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
-    calls = (fa is None) + (fb is None)
+    fpre, fcur = f(xpre), f(xcur)
     if fpre == 0 or fcur == 0:
-        return (xpre if fpre == 0 else xcur), calls
+        return xpre if fpre == 0 else xcur
     if (fpre < 0) == (fcur < 0):
         raise SolverError(f"no sign change for the root search between {xa!r} and {xb!r}")
     xblk = fblk = spre = scur = 0.0
@@ -447,7 +431,7 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur, calls
+            return xcur
         # secant or inverse quadratic step; none, or one dividing by zero (an
         # inf or nan step in C), bisects
         stry = math.inf
@@ -468,22 +452,23 @@ def _brent(f, xa, xb, fa, fb, xtol, rtol):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-        calls += 1
     raise SolverError(f"root search did not converge in {ROOT_MAX_ITERATIONS} iterations")
 
 
 def solve_shooting(problem: SLProblem) -> EigenResult:
     """First eigenvalue of the mixed problem by shooting.
 
-    Integrates from phi(0) = 0 with unit initial slope, in the units of
-    _Shooter.  A walk by factors of 4 brackets the sign change of S(lam)
-    (see _shoot), and Brent's method (_brent) finds the root on the mesh of
-    the bracket's upper end, starting from the walk's sweeps of the bracket
-    ends.  A root whose residual |S(lam)/S(0)| exceeds RESIDUAL_MAX, or
-    whose value is not a normal float, is a SolverError.  With a cut (see
-    _cut), `cut_error` estimates the cut's error from the same sweeps: the
-    shift of lam the end mass makes, lam mass phi(b)/|S'| with S' the secant
-    to the nearest sweep 1e-8 lam or more below the root, times the mass's
+    Integrates from phi(0) = 0 with unit initial slope, on the table of a
+    _Shooter.  Every sweep goes through S(lam) (see _shoot), one memo entry
+    per lam: a walk by factors of 4 brackets its sign change (_bracket),
+    and Brent's method (_brent) finds the root.  Where 60 steps per radian
+    of the phase sqrt(hi) ell at the bracket's upper end are more than the
+    table has, it is built again at that count and the walk runs again.
+    A root whose residual |S(lam)/S(0)| exceeds RESIDUAL_MAX, or whose
+    value is not a normal float, is a SolverError.  With a cut (see _cut),
+    `cut_error` estimates the cut's error from the same sweeps: the shift
+    of lam the end mass makes, lam mass phi(b)/|S'| with S' the secant to
+    the nearest sweep 1e-8 lam or more below the root, times the mass's
     relative error from its next Frobenius terms (the weight's departure
     from (ell - t)^p over the last cell, and phi's variation over the tail).
     Where the weight underflows short of the cut (see _weight_tables),
@@ -491,23 +476,26 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     of the dropped tail, whose weight is below 8 times the smallest normal float.
     """
     shooter = _Shooter(problem)
-    lo, hi, swept = _bracket(shooter)
-    ts, table = shooter.mesh(hi)
-    # (S(lam), phi(b)) of each sweep on this mesh, for the residual at the
-    # root and the cut_error secant: the bracket ends, which the walk swept
-    # on this mesh unless lo's mesh was coarser, and Brent's iterates
-    svals = {lam: swept[lam][1] for lam in (lo, hi) if swept[lam][0] is table}
+    svals = {}  # lam: (S(lam), phi(b)) on the shooter's table
 
-    def sweep(lam):
-        svals[lam] = _shoot(table, lam, end=True)
+    def S(lam):
+        if lam not in svals:
+            svals[lam] = _shoot(shooter.table, lam, end=True)
         return svals[lam][0]
 
-    ends = (svals[lam][0] if lam in svals else None for lam in (lo, hi))
-    lam, calls = _brent(sweep, lo, hi, *ends, ROOT_RTOL * lo, ROOT_RTOL)
-    s_root, phi_end = svals[lam]
+    lo, hi = _bracket(S, shooter)
+    sweeps = 0
+    steps = int(60.0 * (math.sqrt(hi) * shooter.length))
+    if steps > shooter.steps:
+        sweeps = len(svals)
+        svals.clear()
+        shooter.build(steps)
+        lo, hi = _bracket(S, shooter)
+    lam = _brent(S, lo, hi, ROOT_RTOL * lo, ROOT_RTOL)
     value = _unscaled(lam, shooter.e)
+    ts, (_, rhs, mass) = shooter.ts, shooter.table
     # S(0) = u(0) = w(0): at lam = 0 the flux is constant
-    resid = abs(s_root) / float(table[1][1])
+    resid = abs(S(lam)) / float(rhs[1])
     if not resid <= RESIDUAL_MAX:
         raise SolverError(
             f"shooting residual {resid:.3g} exceeds {RESIDUAL_MAX} at lambda = {value}"
@@ -515,18 +503,18 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     cut_error = None
     if shooter.eps:
         p, eps = problem.order, shooter.eps
-        r = float((shooter.scaled.length - ts[-2]) / eps)
-        w_in, w_cut = (float(w) for w in shooter.scaled.weight(ts[-2:]))
+        r = float((shooter.length - ts[-2]) / eps)
+        w_in, w_cut = (float(w) for w in shooter.weight(ts[-2:]))
         # w_in/(w_cut r^p) is 0 where r^p overflows: the mesh ended far short of the cut
         dev = w_in / (w_cut * r**p) - 1.0 if p * math.log(r) < 709.0 else -1.0
         rel = abs(dev) / ((r - 1.0) * (p + 2.0))
         rel += lam * eps * eps / ((p + 1.0) * (p + 3.0))
-        near = max((v for v in svals if v <= lam * (1 - 1e-8) and svals[v][0] > 0.0), default=lo)
-        slope = (svals[near][0] - s_root) / (lam - near)
-        cut_error = math.ldexp(rel * lam * table[2] * abs(phi_end) / slope, -2 * shooter.e)
+        near = max((v for v in svals if v <= lam * (1 - 1e-8) and S(v) > 0.0), default=lo)
+        slope = (S(near) - S(lam)) / (lam - near)
+        cut_error = math.ldexp(rel * lam * mass * abs(svals[lam][1]) / slope, -2 * shooter.e)
     return EigenResult(
         value=value, method="shooting", residual=resid, grid_size=len(ts) - 1,
-        sweeps=len(swept) + calls, cut_error=cut_error,
+        sweeps=sweeps + len(svals), cut_error=cut_error,
     )
 
 

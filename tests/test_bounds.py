@@ -119,6 +119,50 @@ class TestShootingWork:
         r = sturm_liouville.solve_shooting(problem)
         assert r.sweeps == len(calls) == len(set(calls)) == sweeps
 
+    def test_seeded_draws_never_size_a_second_table(self, monkeypatch):
+        # tripwire: a solve builds its table again only where 60 steps per
+        # radian of the bracket's phase exceed the mesh floors, which no
+        # model bound reaches.  Bulk, near-cap and sharp draws over the four
+        # families each sweep one table; a lower mesh floor that made them
+        # re-run would fail here
+        inner = sturm_liouville._shoot
+        seen = []
+
+        def tracked(table, lam, *args, **kwargs):
+            seen.append(table[0])
+            return inner(table, lam, *args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "_shoot", tracked)
+        rng = np.random.default_rng(23)
+        u = rng.uniform
+        solves = []
+        for _ in range(6):
+            params = CurvatureParams(
+                m=int(rng.choice([1, 2, 5, 20, 50])), kappa1=u(0.1, 2.0), kappa2=u(0.0, 2.0)
+            )
+            cap = 2.0 * weight_radius(kahler_factors(params))
+            for frac in (u(0.05, 0.95), u(0.95, 0.999), 1.0):
+                solves.append(lambda p=params, D=frac * cap: kahler_neumann_bound(p, D))
+            lam = u(-0.5, 1.0)
+            rad = weight_radius(kahler_factors(params), lam)
+            for frac in (u(0.05, 0.95), u(0.95, 0.999)):
+                solves.append(lambda p=params, R=frac * rad, L=lam: kahler_dirichlet_bound(p, L, R))
+            n, k = int(rng.choice([2, 3, 10, 500, 2000])), u(0.25, 2.0)
+            for frac in (u(0.05, 0.95), u(0.95, 0.999), 1.0):
+                solves.append(lambda n=n, k=k, D=frac * math.pi / math.sqrt(k): riemannian_neumann_bound(n, k, D))
+            # a Dirichlet weight falls like exp(-lam (n - 1) t), and from n = 500
+            # on its first eigenvalue, about (lam (n - 1))^2/4, is often past
+            # the scan ceiling
+            n = int(rng.choice([2, 3, 10, 20]))
+            rad = weight_radius(((k, n - 1),), lam)
+            for frac in (u(0.05, 0.95), u(0.95, 0.999)):
+                solves.append(lambda n=n, k=k, R=frac * rad, L=lam: riemannian_dirichlet_bound(n, k, L, R))
+        assert len(solves) == 60
+        for solve in solves:
+            seen.clear()
+            solve()
+            assert len({id(bands) for bands in seen}) == 1
+
 
 class TestIdentities:
     def test_dirichlet_lambda_zero_matches_neumann_double(self):
