@@ -12,7 +12,7 @@ tagged is_limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class BoundResult:
     error of `fd_value` by orders of magnitude (see `_richardson`).
     `limit_error`, for a sharp bound (`is_limit`), estimates the error of
     the shooting cut (see `sturm_liouville.solve_shooting`); else None.
+
+    `to_dict` is the `results` of the CLI's `bound` record: the fields in
+    order, with the model `problem` as its summary (length, boundary
+    conditions, target, weight name).  A new field is a new key there.
     """
 
     value: float
@@ -82,25 +86,14 @@ class BoundResult:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "theorem_tag": self.theorem_tag,
-            "problem": {
-                "length": self.problem.length,
-                "bc": ["dirichlet", "neumann"],
-                "target": "first",
-                "weight": self.problem.name,
-            },
-            "shooting_value": self.shooting_value,
-            "fd_value": self.fd_value,
-            "fd_error": self.fd_error,
-            "shooting_residual": self.shooting_residual,
-            "method_agreement": self.method_agreement,
-            "validity": self.validity,
-            "is_limit": self.is_limit,
-            "limit_error": self.limit_error,
-            "warnings": self.warnings,
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record["problem"] = {
+            "length": self.problem.length,
+            "bc": ["dirichlet", "neumann"],
+            "target": "first",
+            "weight": self.problem.name,
         }
+        return record
 
 
 @dataclass
@@ -111,14 +104,6 @@ class ComparisonReport:
     reference_bound: float
     reference_name: str
     margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound.to_dict(),
-            "reference_bound": self.reference_bound,
-            "reference_name": self.reference_name,
-            "margin": self.margin,
-        }
 
 
 def _check(name, actual, limit):

@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bounds import (
     explicit_bound_table,
     kahler_dirichlet_bound,
@@ -176,14 +174,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _emit(args, command, inputs, results, warnings, header, rows):
     """Write one JSON record, or the warnings to stderr and then one CSV."""
     if args.format == "csv":
@@ -200,7 +190,7 @@ def _emit(args, command, inputs, results, warnings, header, rows):
         "results": results,
         "warnings": list(warnings),
     }
-    json.dump(record, sys.stdout, indent=2, default=_jsonable)
+    json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 

@@ -82,6 +82,11 @@ FD_MAX_ITERATIONS = 500
 # shortest interval solved: the first eigenvalue, about 1/ell^2, overflows
 # near ell = 1e-154
 MIN_LENGTH = 1e-152
+# the StabilityFailure of a shooting sweep that leaves the float range
+OVERFLOW_MESSAGE = (
+    "shooting integration overflowed: the weight spans more orders of magnitude"
+    " on the interval than floating point holds"
+)
 
 
 def check_length(what, ell):
@@ -271,7 +276,7 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
         bands[2, u_col, 1] = h2 / 6.0 * (wm / w0 + 1.0 + w1 / wm)
         bands[2, u_col, 2] = -h2 * h2 * w1 / (24.0 * w0)
     if not np.all(np.isfinite(bands)):
-        raise StabilityFailure("shooting integration overflowed")
+        raise StabilityFailure(OVERFLOW_MESSAGE)
     return bands
 
 
@@ -303,7 +308,7 @@ def _shoot(table, lam, end=False):
     if np.any((phi < 0.0) & (u > 0.0)) or phi[-1] < 0.0 < s:
         s = -float(rhs[1])
     elif not math.isfinite(s):
-        raise StabilityFailure("shooting integration overflowed")
+        raise StabilityFailure(OVERFLOW_MESSAGE)
     return (s, float(phi[-1])) if end else s
 
 

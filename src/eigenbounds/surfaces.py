@@ -135,23 +135,6 @@ class SurfaceComparison:
     ok: bool
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "profile": self.profile_name,
-            "mu1": self.mu1,
-            "mu1_error": self.mu1_error,
-            "diameter": self.diameter,
-            "diameter_used": self.diameter_used,
-            "k_min": self.k_min,
-            "kappa1": self.kappa1,
-            "bound": self.bound,
-            "bound_error": self.bound_error,
-            "margin": self.margin,
-            "slack": self.slack,
-            "ok": self.ok,
-            "warnings": self.warnings,
-        }
-
 
 # ---------------------------------------------------------------------------
 # profile constructors

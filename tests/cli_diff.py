@@ -9,10 +9,12 @@ source trees give the same CLI output on a host exactly when their files
 compare equal, so a claim that a change leaves the output byte-identical is
 `cmp parent.jsonl change.jsonl`.
 
-The grid is about 4,100 commands: the four bound families over dimensions,
+The grid is 4,066 commands: the four bound families over dimensions,
 curvatures and diameters or inradii (the caps and the validity radii
 approached, met and passed), in JSON and CSV and at three FD grids, plus
-`table`, `verify` and `scan` commands and some usage errors.  Warnings are
+`table` commands (lichnerowicz tables that complete, one ending on the
+kappa1 cap, and a few it refuses), `verify` and `scan` commands and some
+usage errors.  Warnings are
 recorded by category and message, without the file and line a warning
 names, so moved source lines do not show as a difference.  An exception
 that escapes `cli.main` is recorded by its type and message; it is a
@@ -104,14 +106,35 @@ def commands():
     for i, argv in enumerate(bounds[::5]):
         cmds.append(argv + ["--format", "csv"])
         cmds.append(argv + ["--grid", ("500", "8000")[i % 2]])
-    # tables
+    # tables: prop13 ignores --m, --k1 and --k2, so each format runs once
+    for fmt in ("json", "csv"):
+        cmds.append(["table", "prop13", "--format", fmt])
+    # lichnerowicz tables that complete: k1 > 0, k2 >= 0, four diameters
+    # inside the caps, and one grid whose last diameter sits on the k1 cap
+    lich = []
     for m in (1, 2, 3, 5):
-        for k1 in (-1.0, 0.0, 0.5):
-            for k2 in (-1.0, 0.0, 1.0):
-                for name, extra in (("prop13", []), ("lichnerowicz", ["--D-grid", "0.5:2.5:0.5"])):
-                    for fmt in ("json", "csv"):
-                        cmds.append(["table", name, "--m", str(m), "--k1", _num(k1), "--k2", _num(k2),
-                                     *extra, "--format", fmt])
+        for k1 in (0.25, 0.5, 1.0):
+            for k2 in (0.0, 0.5, 1.0):
+                cap = PI / (2.0 * math.sqrt(k1))
+                if k2 > 0 and m >= 2:
+                    cap = min(cap, PI / math.sqrt(k2))
+                step = cap / 5.0
+                lich.append((m, k1, k2, f"{_num(step)}:{_num(4.0 * step)}:{_num(step)}"))
+    lich.append((2, 1.0, 0.0, f"{_num(PI / 2 - 1.0)}:{_num(PI / 2)}:0.5"))
+    for m, k1, k2, d_grid in lich:
+        for fmt in ("json", "csv"):
+            cmds.append(["table", "lichnerowicz", "--m", str(m), "--k1", _num(k1), "--k2", _num(k2),
+                         "--D-grid", d_grid, "--format", fmt])
+    # and refusals: k1 <= 0, k2 < 0, a diameter past the k1 cap
+    for k1, k2, d_grid, fmt in (
+        (0.0, 0.0, "0.5:1.5:0.5", "json"),
+        (-1.0, 0.0, "0.5:1.5:0.5", "json"),
+        (0.5, -1.0, "0.5:1.5:0.5", "json"),
+        (0.5, 0.0, "0.5:2.5:0.5", "json"),
+        (0.5, 0.0, "0.5:2.5:0.5", "csv"),
+    ):
+        cmds.append(["table", "lichnerowicz", "--m", "2", "--k1", _num(k1), "--k2", _num(k2),
+                     "--D-grid", d_grid, "--format", fmt])
     # verify suites
     from eigenbounds.suites import SUITE_NAMES
 
@@ -139,7 +162,9 @@ def commands():
         ["bound", "kahler-neumann", "--m", "0", "--D", "1"], ["bound", "riemannian-neumann", "--n", "1", "--D", "1"],
         ["bound", "kahler-dirichlet", "--R", "1", "--lambda", "nan"], ["bound", "kahler-neumann", "--D", "1", "--grid", "8"],
         ["scan", "--param", "D", "--range", "1:0:1"], ["scan", "--param", "k1", "--range", "0:1:0.5"],
-        ["scan", "--param", "D", "--range", "0:1e6:1e-3"], ["verify", "all", "--seed", "-1"],
+        ["scan", "--param", "D", "--range", "0:1e6:1e-3"], ["scan", "--param", "D", "--range", "0:inf:1"],
+        ["scan", "--param", "D", "--range", "0:1:0"], ["scan", "--param", "lambda", "--range", "0:1:0.5"],
+        ["verify", "all", "--seed", "-1"],
         ["table", "lichnerowicz", "--D-grid", "1:2"], ["bound", "nope", "--D", "1"],
     ]
     return cmds

@@ -1,13 +1,18 @@
 """Tests for the bound evaluators and their cross-checks."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
 from eigenbounds import sturm_liouville
 from eigenbounds.bounds import (
+    BoundResult,
     explicit_bound_table,
     kahler_dirichlet_bound,
     kahler_neumann_bound,
@@ -23,6 +28,9 @@ from eigenbounds.errors import (
     InradiusExceedsValidity,
     InvalidDimension,
 )
+from eigenbounds.heatflow import FlowProfile
+from eigenbounds.sturm_liouville import SLProblem
+from eigenbounds.surfaces import SurfaceProfile
 
 PI2 = math.pi**2
 
@@ -362,14 +370,18 @@ class TestResultRecord:
         blob = json.dumps(r.to_dict())
         back = json.loads(blob)
         assert back["theorem_tag"] == "kahler_neumann"
-        assert back["problem"]["bc"] == ["dirichlet", "neumann"]
         assert back["is_limit"] is False
+        # the keys are the fields in order, `problem` as its summary
+        assert list(back) == [f.name for f in dataclasses.fields(BoundResult)]
+        assert back["problem"] == {
+            "length": 0.5, "bc": ["dirichlet", "neumann"], "target": "first",
+            "weight": r.problem.name,
+        }
 
-    def test_comparison_to_dict(self):
+    def test_comparison_record(self):
         rep = lichnerowicz_comparison(CurvatureParams(m=1, kappa1=1.0, kappa2=0.0), D=1.0)
-        back = json.loads(json.dumps(rep.to_dict()))
-        assert back["reference_name"] == "8*kappa1"
-        assert back["margin"] == pytest.approx(rep.margin)
+        assert rep.reference_name == "8*kappa1"
+        assert rep.margin == rep.bound.value - rep.reference_bound
 
 
 class TestPublicApi:
@@ -380,3 +392,55 @@ class TestPublicApi:
             assert getattr(eigenbounds, name) is not None
         assert eigenbounds.CurvatureParams is CurvatureParams
         assert eigenbounds.kahler_neumann_bound is kahler_neumann_bound
+
+
+class TestSettableValues:
+    # every defaulted parameter of the functions in each module's __all__,
+    # with its default, and the defaulted fields of the input dataclasses:
+    # a new library knob is a visible change here
+    INPUTS = (CurvatureParams, SLProblem, SurfaceProfile, FlowProfile)
+    DEFAULTS = {
+        "bounds.kahler_neumann_bound": {"n": 2000},
+        "bounds.kahler_dirichlet_bound": {"n": 2000},
+        "bounds.riemannian_neumann_bound": {"n": 2000},
+        "bounds.riemannian_dirichlet_bound": {"n": 2000},
+        "bounds.lichnerowicz_comparison": {"n": 2000},
+        "bounds.explicit_bound_table": {"n": 2000},
+        "bounds.monotonicity_scan": {"n": 2000},
+        "cli.main": {"argv": None},
+        "coefficients.weight_radius": {"lam": 0.0},
+        "heatflow.heatflow_1d": {"n": 192, "fit_target": None, "records": 400},
+        "heatflow.modulus_envelope_check": {"tol": 1e-6},
+        "sturm_liouville.solve_fd": {"n": 2000},
+        "sturm_liouville.neumann_first_nonzero_direct": {"n": 2000},
+        "sturm_liouville.eigen_limit": {"extra_terms": 3},
+        "suites.run_suite": {"seed": 20240817, "grid": 2000},
+        "surfaces.surface_eigen": {"modes": 3, "n": 512},
+        "surfaces.comparison_check": {"grid": 2000},
+        "coefficients.CurvatureParams": {"kappa2": 0.0},
+        "sturm_liouville.SLProblem": {"power": 0, "name": "", "order": 0},
+        "surfaces.SurfaceProfile": {"name": ""},
+        "heatflow.FlowProfile": {"name": ""},
+    }
+
+    def test_defaults_are_pinned(self):
+        import eigenbounds
+
+        modules = [eigenbounds] + [
+            importlib.import_module(f"eigenbounds.{m.name}")
+            for m in pkgutil.iter_modules(eigenbounds.__path__)
+        ]
+        functions = {
+            obj
+            for module in modules
+            for obj in (getattr(module, a) for a in getattr(module, "__all__", ()))
+            if inspect.isfunction(obj)
+        }
+        found = {}
+        # a dataclass's signature is that of its __init__: its fields
+        for obj in (*functions, *self.INPUTS):
+            params = inspect.signature(obj).parameters.values()
+            defaults = {p.name: p.default for p in params if p.default is not p.empty}
+            if defaults:
+                found[f"{obj.__module__.removeprefix('eigenbounds.')}.{obj.__name__}"] = defaults
+        assert found == self.DEFAULTS

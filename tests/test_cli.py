@@ -170,6 +170,20 @@ class TestBound:
         assert len(err.splitlines()) == 1
         assert err.startswith("eigenbounds: solver: the eigenvalue underflows in floating point")
 
+    def test_weight_range_overflow_names_the_cause(self, capsys):
+        # C(1, -1)^499 rises and then falls towards 0 near the validity radius
+        # over more orders of magnitude than a float holds: the sweep
+        # overflows, and the one solver line says why
+        code, out, err = run_cli(
+            capsys, "bound", "riemannian-dirichlet", "--n", "500", "--k", "1.0",
+            "--lambda", "-1.0", "--R", "2.3538382957021526",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "eigenbounds: solver: shooting integration overflowed: the weight spans more"
+            " orders of magnitude on the interval than floating point holds\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -230,10 +230,7 @@ class TestComparison:
             assert rep.ok
             assert rep.margin >= -rep.slack
 
-    def test_report_serializes(self):
-        import json
-
+    def test_report_record(self):
         rep = comparison_check(capsule_profile(0.2))
-        blob = json.loads(json.dumps(rep.to_dict()))
-        assert blob["ok"] is True
-        assert blob["kappa1"] == 0.0
+        assert rep.ok is True
+        assert rep.kappa1 == 0.0
