@@ -33,8 +33,10 @@ half-interval reduction can be validated against it; it runs the same
 Green's-function iteration with the left end free, deflated against the
 constants.  eigen_limit extrapolates eigenvalues from truncated problems;
 no bound calls it, and it stays only because the benchmark tracer looks up
-bounds.eigen_limit, until ROADMAP item 2.  eigh_tridiagonal solves the
-surface modes.  LAPACK comes from scipy's compiled _flapack (_load_flapack).
+bounds.eigen_limit, until ROADMAP item 2.  eigh_tridiagonal (dstebz) is
+likewise called by no solver and stays for the tracer's spans; the surface
+modes factor and solve with dpttrf and dpttrs.  LAPACK comes from scipy's
+compiled _flapack (_load_flapack).
 """
 
 from __future__ import annotations
@@ -133,6 +135,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dtbtrs = _flapack.dtbtrs
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 def eigh_tridiagonal(d, e, count):

@@ -10,7 +10,9 @@ evaluated at a pole, with zero-flux faces at both ends: at a pole the face
 coefficient f(0) = 0 encodes the regularity condition on its own, on a
 band end it is the Neumann condition, and for k >= 1 the potential wall
 k^2/f enforces decay at poles.  The first nonzero eigenvalue over modes
-0..K is the surface's mu_1.
+0..K is the surface's mu_1.  Each mode's value is the first eigenvalue of
+a positive definite tridiagonal pencil, found by inverse iteration whose
+shifts dpttrf certifies to lie below it (see _first_pair).
 
 The diameter of a two-pole surface is its meridian length L: the metric
 is at least dr^2, so every pole-to-pole path is at least L long, and two
@@ -30,7 +32,7 @@ import numpy as np
 from .bounds import kahler_neumann_bound
 from .coefficients import CurvatureParams, weight_kahler_radius
 from .errors import ProfileError, SolverError
-from .sturm_liouville import eigh_tridiagonal
+from .sturm_liouville import dpttrf, dpttrs
 
 __all__ = [
     "SurfaceProfile",
@@ -56,12 +58,22 @@ def __getattr__(name):
         from scipy.sparse.csgraph import dijkstra
 
         return dijkstra
+    # only the benchmark tracer looks up surfaces.eigh_tridiagonal: nothing
+    # here calls it, so its span reads 0; goes with ROADMAP item 2
+    if name == "eigh_tridiagonal":
+        from .sturm_liouville import eigh_tridiagonal
+
+        return eigh_tridiagonal
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # minimal analytic Gauss curvature accepted by the random generator
 CONVEX_K_FLOOR = 0.05
 MAX_PROFILE_DRAWS = 64  # candidates the random generator draws before giving up
+# a mode's shift-invert iteration stops once its Rayleigh quotient moves by
+# at most MODE_RTOL relative, and fails after MODE_MAX_SOLVES solves
+MODE_RTOL = 1e-14
+MODE_MAX_SOLVES = 50
 
 
 @dataclass(frozen=True)
@@ -101,13 +113,15 @@ class SurfaceProfile:
 
 @dataclass
 class SurfaceSpectrum:
-    """First eigenvalues per Fourier mode and their minimum."""
+    """First eigenvalues per Fourier mode and their minimum.  `iterations`
+    counts the shift-invert solves over both grids."""
 
     mu1: float
     mu1_error: float
     mu1_mode: int
     modes: list
     grid_size: int
+    iterations: int
 
 
 @dataclass
@@ -282,11 +296,57 @@ def random_convex_profile(rng: np.random.Generator) -> SurfaceProfile:
 # mode spectra
 
 
-def _mode_values(profile: SurfaceProfile, n: int, modes: int):
-    """First nonzero eigenvalue of each Fourier mode 0..modes on n staggered
-    cells: the zero mode's second eigenvalue, and the first of every other.
+def _first_pair(d, e, mass, quotient, x, previous=None):
+    """First eigenpair of the pencil (T, diag(mass)), T positive definite
+    tridiagonal (diagonal d, off-diagonal e), by inverse iteration from x.
 
-    The profile is sampled once; mode k adds k^2/f to the diagonal.
+    A shift sigma is taken only where dpttrf factors T - sigma M, which
+    holds exactly when sigma is below the first eigenvalue mu; a refused
+    one is bisected toward the last taken one, or falls to 0.  A solve
+    cuts the error of the quotient rho by about ((mu - sigma) /
+    (mu_2 - sigma))^2, so rho falls by nearly all of its error and the
+    next shift, rho less twice that fall, stays below mu.  `previous`, the
+    value on the n/2 grid, seeds the first fall; without it the first
+    shift is 0.  Returns rho, its vector and the number of solves.
+    """
+    rho, taken, refused = quotient(x), None, math.inf
+    sigma = 0.0 if previous is None else max(rho - 2.0 * abs(previous - rho), 0.0)
+    for solves in range(1, MODE_MAX_SOLVES + 1):
+        while True:
+            dd, ee, info = dpttrf(d - sigma * mass, e)
+            if info == 0:
+                break
+            floor = 0.0 if taken is None else taken
+            if sigma == floor:
+                raise SolverError(f"no certified shift: dpttrf refused the mode pencil at {sigma}")
+            refused, mid = sigma, 0.5 * (floor + sigma)
+            sigma = mid if taken is not None and mid < refused else floor
+        taken = sigma
+        x = dpttrs(dd, ee, mass * x)[0]
+        x *= 1.0 / math.sqrt(x @ x)
+        fall, rho = rho, quotient(x)
+        fall -= rho
+        if abs(fall) <= MODE_RTOL * rho:
+            return float(rho), x, solves
+        sigma = max(rho - 2.0 * abs(fall), taken)
+        if sigma >= refused:
+            sigma = 0.5 * (taken + refused)
+    raise SolverError(f"mode solve did not converge in {MODE_MAX_SOLVES} solves")
+
+
+def _mode_values(profile: SurfaceProfile, n: int, modes: int, start=None):
+    """First nonzero eigenvalue of each Fourier mode 0..modes on n staggered
+    cells, with the vectors and the number of solves.
+
+    Mode k >= 1 is the pencil (B^T G B + k^2 F^-1, F), B the face
+    differences, G the face weights over h^2 and F the cell weights.  The
+    zero mode's first nonzero eigenvalue is the first of the flux pencil
+    (B F^-1 B^T, G^-1) on the n - 1 inner faces, whose spectrum is the
+    nonzero spectrum of k = 0, with v = G B u.  Every quotient is a ratio
+    of sums of positive terms.  `start` is the (values, vectors) of the
+    n/2 grid: its vectors are interpolated and its values seed the first
+    shifts; without it each mode starts from the sphere's: the flux
+    f sin(pi r / L), and f^k.
     """
     L = profile.length
     h = L / n
@@ -296,36 +356,70 @@ def _mode_values(profile: SurfaceProfile, n: int, modes: int):
     w_cell = np.asarray(profile.f(centers), dtype=float)
     if not np.all(w_cell > 0.0):
         raise ProfileError("warping function must be positive at cell centers")
-    g = w_face[1:-1] / (h * h)
+    with np.errstate(over="ignore", divide="ignore"):
+        g = w_face[1:-1] / (h * h)
+        inv = 1.0 / w_cell
+        flux_mass = 1.0 / g
+    if not all(np.all(np.isfinite(a)) for a in (g, inv, flux_mass)):
+        raise SolverError("mode pencil has non-finite entries")
     diag = np.zeros(n)
     diag[:-1] += g
     diag[1:] += g
-    scale = np.sqrt(w_cell)
-    te = -g / (scale[:-1] * scale[1:])
-    values = []
-    for k in range(modes + 1):
-        td = (diag + (k * k) / w_cell if k > 0 else diag) / w_cell
-        want = 1 if k == 0 else 0
-        vals = eigh_tridiagonal(td, te, want + 1)
-        if k == 0 and abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
-            raise SolverError(f"zero mode of the k=0 problem came out as {vals[0]}")
-        values.append(float(vals[want]))
-    return values
+
+    def quotient(x, kk):
+        dx = x[1:] - x[:-1]
+        x2 = x * x
+        return (g @ (dx * dx) + kk * (inv @ x2)) / (x2 @ w_cell)
+
+    def flux_quotient(v):
+        # B^T v is -v[0], v[:-1] - v[1:], v[-1] on the cells
+        dv = v[1:] - v[:-1]
+        edges = inv[0] * v[0] ** 2 + inv[-1] * v[-1] ** 2
+        return (inv[1:-1] @ (dv * dv) + edges) / ((v * v) @ flux_mass)
+
+    if start is None:
+        previous = [None] * (modes + 1)
+        guesses = [w_face[1:-1] * np.sin(faces[1:-1] * (math.pi / L))]
+        guesses += [w_cell**k for k in range(1, modes + 1)]
+    else:
+        # the n/2 grid's faces are every other face, its cell centers the odd faces
+        previous = start[0]
+        guesses = [np.interp(faces[1:-1], faces[::2], np.pad(start[1][0], 1))]
+        guesses += [np.interp(centers, faces[1::2], x) for x in start[1][1:]]
+    mu, v, total = _first_pair(
+        inv[:-1] + inv[1:], -inv[1:-1], flux_mass, flux_quotient, guesses[0], previous[0]
+    )
+    # the flux must map back to a k = 0 eigenvector, u = F^-1 B^T v
+    primal = quotient(inv * np.diff(v, prepend=0.0, append=0.0), 0)
+    if not abs(primal - mu) <= 1e-10 * mu:
+        raise SolverError(f"zero mode's flux value {mu} disagrees with its recovered quotient {primal}")
+    values, vectors = [mu], [v]
+    for k in range(1, modes + 1):
+        mu, x, solves = _first_pair(
+            diag + (k * k) * inv, -g, w_cell,
+            lambda x, kk=k * k: quotient(x, kk), guesses[k], previous[k],
+        )
+        values.append(mu)
+        vectors.append(x)
+        total += solves
+    return values, vectors, total
 
 
 def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> SurfaceSpectrum:
     """First nonzero eigenvalue of the surface over Fourier modes 0..modes.
 
-    Each mode is solved on n and 2n cells; the doubled-grid value is
-    reported with the grid difference as its convergence estimate.
+    Each mode is solved on n and 2n cells, the 2n grid warm-started from
+    the n grid; the doubled-grid value is reported with the grid
+    difference as its convergence estimate.
     """
     if modes < 1:
         raise ProfileError(f"need at least one rotational mode, got {modes}")
     if n < 64:
         raise ProfileError(f"need at least 64 cells, got {n}")
-    coarse, fine = _mode_values(profile, n, modes), _mode_values(profile, 2 * n, modes)
+    coarse = _mode_values(profile, n, modes)
+    fine = _mode_values(profile, 2 * n, modes, start=coarse)
     rows = [
-        {"k": k, "value": f, "error": abs(f - c)} for k, (c, f) in enumerate(zip(coarse, fine))
+        {"k": k, "value": f, "error": abs(f - c)} for k, (c, f) in enumerate(zip(coarse[0], fine[0]))
     ]
     best = min(rows, key=lambda row: row["value"])
     return SurfaceSpectrum(
@@ -334,6 +428,7 @@ def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> Surf
         mu1_mode=best["k"],
         modes=rows,
         grid_size=2 * n,
+        iterations=coarse[2] + fine[2],
     )
 
 

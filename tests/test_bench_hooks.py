@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from eigenbounds import heatflow
+from eigenbounds import heatflow, surfaces
 from eigenbounds.cli import main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
@@ -102,3 +102,20 @@ def test_envelope_check_span_counts_every_pair():
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["heatflow.modulus_envelope_check.calls"] == 1
     assert metrics["heatflow.modulus_envelope_check.pair_evals"] == 8128 * 401 == 3_259_328
+
+
+def test_surface_modes_trace_no_tridiagonal_eigensolve():
+    # the mode solver runs shift-invert iteration on dpttrf/dpttrs, so the
+    # tracer-only surfaces.eigh_tridiagonal span sees no call
+    original = surfaces.surface_eigen
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert surfaces.surface_eigen is not original
+        surfaces.surface_eigen(surfaces.sphere_profile(1.0))
+    finally:
+        tracer.uninstall()
+    assert surfaces.surface_eigen is original
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["surfaces.surface_eigen.calls"] == 1
+    assert metrics["surfaces.eigh_tridiagonal.calls"] == 0

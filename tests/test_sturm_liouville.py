@@ -917,9 +917,11 @@ def test_slproblem_validation():
 
 # A fresh interpreter imports the CLI (with the file lookup made to miss in
 # the fallback case), then scipy.linalg, and compares the routines and the
-# surface mode values.  The extension is registered as scipy.linalg._flapack,
-# so `from scipy.linalg import _flapack` finds it, but the attribute
-# scipy.linalg._flapack stays missing until scipy re-binds it.
+# eigenvalues of the symmetric surface mode matrices, mode k's
+# F^-1/2 (B^T G B + k^2 F^-1) F^-1/2 on the staggered grid.  The extension
+# is registered as scipy.linalg._flapack, so `from scipy.linalg import
+# _flapack` finds it, but the attribute scipy.linalg._flapack stays missing
+# until scipy re-binds it.
 _FLAPACK_SCRIPT = """
 import importlib.util, json, sys
 import numpy as np
@@ -934,16 +936,23 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 import scipy.linalg
 from scipy.linalg import _flapack, lapack
 ops = []
-def spy(d, e, count):
-    vals = sturm_liouville.eigh_tridiagonal(d, e, count)
-    ops.append((d, e, count, vals))
-    return vals
-surfaces.eigh_tridiagonal = spy
 profiles = (surfaces.sphere_profile(1.0),
             surfaces.random_convex_profile(np.random.default_rng(3)))
 for profile in profiles:
     for n in (512, 1024):
-        surfaces._mode_values(profile, n, 3)
+        h = profile.length / n
+        faces = np.linspace(0.0, profile.length, n + 1)
+        w_cell = profile.f(faces[:-1] + 0.5 * h)
+        g = profile.f(faces)[1:-1] / (h * h)
+        diag = np.zeros(n)
+        diag[:-1] += g
+        diag[1:] += g
+        scale = np.sqrt(w_cell)
+        e = -g / (scale[:-1] * scale[1:])
+        for k in range(4):
+            d = (diag + (k * k) / w_cell) / w_cell
+            count = 2 if k == 0 else 1
+            ops.append((d, e, count, sturm_liouville.eigh_tridiagonal(d, e, count)))
 differ = [
     len(d) for d, e, count, vals in ops
     if scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
@@ -952,7 +961,9 @@ differ = [
 print(json.dumps({
     "loaded": loaded,
     "same_module": _flapack is sturm_liouville._flapack,
-    "same_dtbtrs": lapack.dtbtrs is sturm_liouville.dtbtrs,
+    "same_routines": [lapack.dtbtrs is sturm_liouville.dtbtrs,
+                      lapack.dpttrf is sturm_liouville.dpttrf,
+                      lapack.dpttrs is sturm_liouville.dpttrs],
     "solves": len(ops),
     "differ": differ,
 }))
@@ -971,7 +982,7 @@ def test_flapack_is_scipys_and_solves_bit_for_bit(path):
         assert got["loaded"] == ["scipy.linalg._flapack"]
     else:
         assert "scipy.linalg" in got["loaded"]
-    assert got["same_module"] and got["same_dtbtrs"]
+    assert got["same_module"] and got["same_routines"] == [True, True, True]
     # two profiles, two grids, modes 0 to 3
     assert got["solves"] == 16
     assert got["differ"] == []

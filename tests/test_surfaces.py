@@ -7,7 +7,10 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from eigenbounds.errors import ProfileError
+from eigenbounds import surfaces
+from eigenbounds.errors import ProfileError, SolverError
+from eigenbounds.sturm_liouville import eigh_tridiagonal
+from eigenbounds.suites import DEFAULT_SEED
 from eigenbounds.surfaces import (
     CONVEX_K_FLOOR,
     band_profile,
@@ -61,6 +64,153 @@ class TestModeSolver:
             surface_eigen(sphere_profile(1.0), modes=0)
         with pytest.raises(ProfileError):
             surface_eigen(sphere_profile(1.0), n=32)
+
+
+def _symmetric_modes(profile, n, modes):
+    """Diagonals (d, e) of mode k's symmetric form F^-1/2 (B^T G B + k^2 F^-1) F^-1/2."""
+    h = profile.length / n
+    faces = np.linspace(0.0, profile.length, n + 1)
+    w_cell = profile.f(faces[:-1] + 0.5 * h)
+    g = profile.f(faces)[1:-1] / (h * h)
+    diag = np.r_[g, 0.0] + np.r_[0.0, g]
+    e = -g / np.sqrt(w_cell[:-1] * w_cell[1:])
+    return [((diag + k * k / w_cell) / w_cell, e) for k in range(modes + 1)]
+
+
+def _dense(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_flat_band_hits_its_closed_forms(self, n):
+        # the discrete band modes are k^2/c^2 for k >= 1 and
+        # (4/h^2) sin^2(pi h / 2L) for k = 0.  dstebz bisection reached only
+        # ulp * |T| ~ 1/h^2: mode 1 came out 1.3e-9 off at n = 1,024
+        c, L = 2.0, 1.0
+        h = L / n
+        values = surfaces._mode_values(band_profile(c, L), n, 3)[0]
+        exact = [4.0 / h**2 * math.sin(PI * h / (2.0 * L)) ** 2]
+        exact += [k * k / c**2 for k in (1, 2, 3)]
+        assert values == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_sphere_matches_dense_eigensolve(self):
+        # against LAPACK's dense symmetric eigensolver on the symmetric form;
+        # the zero mode's value is the second eigenvalue
+        profile = sphere_profile(1.0)
+        values = surfaces._mode_values(profile, 64, 3)[0]
+        for k, (value, (d, e)) in enumerate(zip(values, _symmetric_modes(profile, 64, 3))):
+            assert value == pytest.approx(np.linalg.eigvalsh(_dense(d, e))[1 if k == 0 else 0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_matches_dstebz_bisection(self, n):
+        # the bisection this solver replaced, sturm_liouville.eigh_tridiagonal,
+        # as the reference: it is ulp * |T| ~ 1/h^2 off, up to 4e-11 relative
+        # on these surfaces
+        for profile in (sphere_profile(1.0), random_convex_profile(np.random.default_rng(3))):
+            values = surfaces._mode_values(profile, n, 3)[0]
+            for k, (value, (d, e)) in enumerate(zip(values, _symmetric_modes(profile, n, 3))):
+                assert value == pytest.approx(eigh_tridiagonal(d, e, 2)[1 if k == 0 else 0], rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1e305, 1e-310])
+    def test_non_finite_pencil_is_refused(self, c):
+        # f / h^2 overflows, or 1/f does
+        with pytest.raises(SolverError, match="non-finite") as info:
+            surface_eigen(band_profile(c, 1.0))
+        assert "\n" not in str(info.value)
+
+    def test_solve_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(surfaces, "MODE_MAX_SOLVES", 1)
+        with pytest.raises(SolverError, match="did not converge in 1 solves") as info:
+            surface_eigen(sphere_profile(1.0))
+        assert "\n" not in str(info.value)
+
+    def test_uncertified_shift_is_refused(self, monkeypatch):
+        # dpttrf refusing every shift, 0 included
+        monkeypatch.setattr(surfaces, "dpttrf", lambda d, e: (d, e, 1))
+        with pytest.raises(SolverError, match="no certified shift") as info:
+            surface_eigen(sphere_profile(1.0))
+        assert "\n" not in str(info.value)
+
+    def test_refused_shifts_back_off(self, monkeypatch):
+        # mode 3 of a thin capsule sits close below mode 3's second value, so
+        # some shifts overshoot; each refused one is bisected toward the last
+        # taken one, and the values still match the dense eigensolve (whose
+        # own error is about eps |T| / mu, near 1e-9 here)
+        inner = surfaces.dpttrf
+        infos = []
+
+        def dpttrf(d, e):
+            out = inner(d, e)
+            infos.append(out[2])
+            return out
+
+        monkeypatch.setattr(surfaces, "dpttrf", dpttrf)
+        profile = capsule_profile(0.02)
+        values = surfaces._mode_values(profile, 64, 3)[0]
+        assert sum(info != 0 for info in infos) == 2
+        for k, (value, (d, e)) in enumerate(zip(values, _symmetric_modes(profile, 64, 3))):
+            assert value == pytest.approx(np.linalg.eigvalsh(_dense(d, e))[1 if k == 0 else 0], rel=1e-9)
+
+    def test_refused_first_shift_falls_to_zero(self, monkeypatch):
+        # a seed equal to the start's own quotient puts the first shift on
+        # that quotient, above the first eigenvalue 2 - 2 cos(pi / (n + 1))
+        # of the Dirichlet Laplacian; the solve restarts from shift 0
+        inner = surfaces.dpttrf
+        shifts = []
+
+        def dpttrf(d, e):
+            out = inner(d, e)
+            shifts.append((2.0 - d[0], out[2]))
+            return out
+
+        monkeypatch.setattr(surfaces, "dpttrf", dpttrf)
+        n = 200
+        d, e, mass = np.full(n, 2.0), np.full(n - 1, -1.0), np.ones(n)
+
+        def quotient(x):
+            return (x[0] ** 2 + x[-1] ** 2 + np.sum(np.diff(x) ** 2)) / (x @ x)
+
+        x = np.ones(n)
+        mu, _, _ = surfaces._first_pair(d, e, mass, quotient, x, previous=quotient(x))
+        assert mu == pytest.approx(2.0 - 2.0 * math.cos(PI / (n + 1)), rel=1e-12)
+        assert shifts[0][0] == pytest.approx(quotient(x)) and shifts[0][1] != 0
+        assert shifts[1] == (0.0, 0)
+
+    @pytest.mark.parametrize("shift, refused", [(1e-12, False), (1e-9, True)])
+    def test_zero_mode_flux_must_map_back(self, monkeypatch, shift, refused):
+        # the flux pencil's value has to be the primal quotient of
+        # u = F^-1 B^T v to 1e-10 relative
+        inner = surfaces._first_pair
+        calls = []
+
+        def first_pair(*args):
+            mu, x, solves = inner(*args)
+            calls.append(mu)
+            return (mu * (1.0 + shift) if len(calls) == 1 else mu), x, solves
+
+        monkeypatch.setattr(surfaces, "_first_pair", first_pair)
+        if refused:
+            with pytest.raises(SolverError, match="zero mode's flux value"):
+                surfaces._mode_values(sphere_profile(1.0), 512, 3)
+        else:
+            surfaces._mode_values(sphere_profile(1.0), 512, 3)
+
+    @pytest.mark.parametrize(
+        "profile, most",
+        [(sphere_profile(1.0), 18),
+         (random_convex_profile(np.random.default_rng(DEFAULT_SEED)), 24)]
+        + [(capsule_profile(aspect), most) for aspect, most in ((0.2, 28), (0.05, 29), (0.02, 31))],
+        ids=["sphere", "baseline_convex", "capsule0.2", "capsule0.05", "capsule0.02"],
+    )
+    def test_solve_counts_stay_pinned(self, profile, most):
+        # tripwire: the sphere's and the checks' surfaces take these many
+        # shift-invert solves over both grids, two per mode on the
+        # warm-started 2n grid; a weaker start or shift rule would fail here
+        spec = surface_eigen(profile)
+        assert spec.iterations <= most
+        coarse = surfaces._mode_values(profile, 512, 3)
+        assert surfaces._mode_values(profile, 1024, 3, start=coarse)[2] == 8
 
 
 def _full_circle_diameter(profile, n_r):
