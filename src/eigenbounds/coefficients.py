@@ -24,7 +24,12 @@ zero among the factors, the drift the sum of power times tangent.
 
 All functions are branch-safe in the curvature argument: near k = 0 the
 tangent and sine families switch to truncated power series in u = k t^2 so
-that values vary smoothly across the sign change.
+that values vary smoothly across the sign change.  The series is evaluated
+only on the samples with |u| < SERIES_THRESHOLD, with no power call (u < 0
+for k < 0), and its cubic term is below half an ulp of the sum there.
+big_c at L = 0 is c_k itself; for k < 0 and L <= 2 sqrt(-k) it switches to
+a cancellation-free form where the profile decays or nears its zero (see
+big_c).
 
 Scalars broadcast over array `t` arguments; curvature arguments are scalars.
 Pure functions, safe for concurrent use.
@@ -101,11 +106,24 @@ def _eval(t, fn):
     return out
 
 
+def _near_zero(branch, kappa, arr, series):
+    """`branch` with the entries where |u| < SERIES_THRESHOLD, u = kappa t^2,
+    replaced by series(t, u) evaluated on those entries alone."""
+    out = np.asarray(branch)
+    small = np.abs(kappa * arr * arr) < SERIES_THRESHOLD
+    if small.any():
+        x = arr[small]
+        out[small] = series(x, kappa * x * x)
+    return out
+
+
 def t_kappa(kappa: float, t):
     """Tangent-type coefficient sqrt(k) tan(sqrt(k) t), continued through k <= 0.
 
     Equals -c_k'(t)/c_k(t).  Odd in t.  For k > 0 the domain is
-    |t| < pi/(2 sqrt(k)); outside it a DomainError is raised.
+    |t| < pi/(2 sqrt(k)); outside it a DomainError is raised.  Where
+    |k| t^2 < SERIES_THRESHOLD the series k t (1 + u/3 + 2u^2/15 + 17u^3/315),
+    u = k t^2, replaces the branch formula on those samples alone.
     """
 
     def f(arr):
@@ -116,16 +134,13 @@ def t_kappa(kappa: float, t):
             )
         if kappa == 0.0:
             return np.zeros_like(arr)
-        u = kappa * arr * arr
-        # series for t_kappa / t in powers of u = k t^2
-        series = kappa * arr * (1.0 + u / 3.0 + u * u * (2.0 / 15.0) + u**3 * (17.0 / 315.0))
-        if kappa > 0:
-            root = math.sqrt(kappa)
-            branch = root * np.tan(root * arr)
-        else:
-            root = math.sqrt(-kappa)
-            branch = -root * np.tanh(root * arr)
-        return np.where(np.abs(u) < SERIES_THRESHOLD, series, branch)
+        root = math.sqrt(abs(kappa))
+        branch = root * np.tan(root * arr) if kappa > 0 else -root * np.tanh(root * arr)
+
+        def series(x, u):  # k t times the series for t_kappa/(k t) in u = k t^2
+            return kappa * x * (1.0 + u / 3.0 + u * u * (2.0 / 15.0) + u * u * u * (17.0 / 315.0))
+
+        return _near_zero(branch, kappa, arr, series)
 
     return _eval(t, f)
 
@@ -146,21 +161,21 @@ def c_kappa(kappa: float, t):
 def s_kappa(kappa: float, t):
     """Generalized sine: sin(sqrt(k) t)/sqrt(k) | t | sinh(sqrt(-k) t)/sqrt(-k).
 
-    Odd; s_k'(0) = 1.  Branch-safe near k = 0 via the series in u = k t^2.
+    Odd; s_k'(0) = 1.  Branch-safe near k = 0: where |k| t^2 <
+    SERIES_THRESHOLD the series t (1 - u/6 + u^2/120 - u^3/5040), u = k t^2,
+    replaces the branch formula on those samples alone.
     """
 
     def f(arr):
         if kappa == 0.0:
             return arr.copy()
-        u = kappa * arr * arr
-        series = arr * (1.0 - u / 6.0 + u * u / 120.0 - u**3 / 5040.0)
-        if kappa > 0:
-            root = math.sqrt(kappa)
-            branch = np.sin(root * arr) / root
-        else:
-            root = math.sqrt(-kappa)
-            branch = np.sinh(root * arr) / root
-        return np.where(np.abs(u) < SERIES_THRESHOLD, series, branch)
+        root = math.sqrt(abs(kappa))
+        branch = (np.sin if kappa > 0 else np.sinh)(root * arr) / root
+
+        def series(x, u):
+            return x * (1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0)
+
+        return _near_zero(branch, kappa, arr, series)
 
     return _eval(t, f)
 
@@ -168,18 +183,22 @@ def s_kappa(kappa: float, t):
 def big_c(kappa: float, lam: float, t):
     """Boundary-curvature profile: solves y'' + kappa y = 0, y(0)=1, y'(0)=-lam.
 
-    Closed form c_kappa(t) - lam * s_kappa(t).  For kappa < 0 and
-    lam <= root = sqrt(-kappa) the profile has no zero, but with lam near
-    root it nears exp(-x), x = root t, while cosh(x) and lam s_kappa(t)
-    grow and cancel.  Where their difference is below cosh(x)/2, more than
-    one bit is lost, so it is recomputed as the sum of nonnegative terms
-    exp(-x) + ((root - lam)/root) sinh(x); root - lam is exact there
-    (Sterbenz, as lam > root/2).
+    Closed form c_kappa(t) - lam * s_kappa(t), and c_kappa(t) itself at
+    lam = 0.  For kappa < 0 and lam near root = sqrt(-kappa) the profile
+    nears exp(-x), x = root t, while cosh(x) and lam s_kappa(t) grow and
+    cancel: the closed form's error is about eps cosh(x).  Where it is below
+    cosh(x)/2, more than one bit is lost, so for lam <= 2 root it is
+    recomputed as exp(-x) + ((root - lam)/root) sinh(x), whose error is
+    about eps exp(-x) near the zero that lam > root puts at first_zero;
+    root - lam is exact there (Sterbenz, as lam > root/2 wherever the
+    switch is taken).
     """
 
     def f(arr):
+        if lam == 0.0:
+            return c_kappa(kappa, arr)
         out = np.asarray(c_kappa(kappa, arr) - lam * s_kappa(kappa, arr))
-        if kappa < 0 and lam <= math.sqrt(-kappa):
+        if kappa < 0 and lam <= 2.0 * math.sqrt(-kappa):
             root = math.sqrt(-kappa)
             x = root * arr
             tail = np.exp(-x) + ((root - lam) / root) * np.sinh(x)
@@ -195,12 +214,12 @@ def big_c_prime(kappa: float, lam: float, t):
     Cancels like big_c for kappa < 0 with lam near root = sqrt(-kappa);
     where the closed form is below lam cosh(x)/2, x = root t, it is
     recomputed as -root exp(-x) + (root - lam) cosh(x), whose terms are
-    no larger than lam cosh(x) for root/2 <= lam <= root.
+    no larger than lam cosh(x) for root/2 <= lam <= 2 root.
     """
 
     def f(arr):
         out = np.asarray(-kappa * s_kappa(kappa, arr) - lam * c_kappa(kappa, arr))
-        if kappa < 0 and 0.5 * math.sqrt(-kappa) <= lam <= math.sqrt(-kappa):
+        if kappa < 0 and 0.5 * math.sqrt(-kappa) <= lam <= 2.0 * math.sqrt(-kappa):
             root = math.sqrt(-kappa)
             x = root * arr
             tail = -root * np.exp(-x) + (root - lam) * np.cosh(x)
@@ -220,7 +239,8 @@ def first_zero(kappa: float, lam: float) -> float:
 
     Closed form per curvature sign: for kappa > 0 the profile is sinusoidal
     and always vanishes; for kappa = 0 it is the line 1 - lam*t; for
-    kappa < 0 it vanishes only when lam exceeds sqrt(-kappa).
+    kappa < 0 it vanishes only when lam exceeds root = sqrt(-kappa), at
+    atanh(root/lam)/root = log1p(2 root/(lam - root))/(2 root).
     """
     if kappa > 0:
         root = math.sqrt(kappa)
@@ -232,7 +252,9 @@ def first_zero(kappa: float, lam: float) -> float:
         return 1.0 / lam if lam > 0 else math.inf
     root = math.sqrt(-kappa)
     if lam > root:
-        return math.atanh(root / lam) / root
+        # the ratio root/lam rounds, and atanh magnifies that near 1;
+        # lam - root is exact for lam <= 2 root (Sterbenz)
+        return 0.5 * math.log1p(2.0 * root / (lam - root)) / root
     return math.inf
 
 

@@ -267,17 +267,20 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
     # columns of phi_k and u_k for k < n; the last node couples to nothing
     phi_col, u_col = slice(0, -2, 2), slice(1, -2, 2)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # each shared factor once, in the same float operations: (-x)*y = -(x*y)
         h2 = h * h
+        h_6, h2_6, h3_12, neg_h4 = h / 6.0, h2 / 6.0, h * h2 / 12.0, -h2 * h2
+        inv0, inv1 = 1.0 / w0, 1.0 / w1
         bands[2, phi_col, 0] = -1.0
-        bands[2, phi_col, 1] = h2 / 6.0 * (w0 / wm + 1.0 + wm / w1)
-        bands[2, phi_col, 2] = -h2 * h2 * w0 / (24.0 * w1)
-        bands[3, phi_col, 1] = h / 6.0 * (w0 + 4.0 * wm + w1)
-        bands[3, phi_col, 2] = -h * h2 / 12.0 * (w0 + w1)
-        bands[1, u_col, 0] = -h / 6.0 * (1.0 / w0 + 4.0 / wm + 1.0 / w1)
-        bands[1, u_col, 1] = h * h2 / 12.0 * (1.0 / w0 + 1.0 / w1)
+        bands[2, phi_col, 1] = h2_6 * (w0 / wm + 1.0 + wm / w1)
+        bands[2, phi_col, 2] = neg_h4 * w0 / (24.0 * w1)
+        bands[3, phi_col, 1] = h_6 * (w0 + 4.0 * wm + w1)
+        bands[3, phi_col, 2] = -h3_12 * (w0 + w1)
+        bands[1, u_col, 0] = -h_6 * (inv0 + 4.0 / wm + inv1)
+        bands[1, u_col, 1] = h3_12 * (inv0 + inv1)
         bands[2, u_col, 0] = -1.0
-        bands[2, u_col, 1] = h2 / 6.0 * (wm / w0 + 1.0 + w1 / wm)
-        bands[2, u_col, 2] = -h2 * h2 * w1 / (24.0 * w0)
+        bands[2, u_col, 1] = h2_6 * (wm / w0 + 1.0 + w1 / wm)
+        bands[2, u_col, 2] = neg_h4 * w1 / (24.0 * w0)
     if not np.all(np.isfinite(bands)):
         raise StabilityFailure(OVERFLOW_MESSAGE)
     return bands

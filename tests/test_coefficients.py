@@ -220,6 +220,20 @@ def test_critical_lam_keeps_digits_before_switch():
     assert big_c(-9.0, 3.0, 3.08) == pytest.approx(math.exp(-9.24), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "kappa, lam", [(-1.0, 1.0000000000000009), (-1.0, 1.0000000000000002), (-9.0, 3.0000000000000004)]
+)
+@pytest.mark.parametrize("frac", [0.9, 0.999])
+def test_big_c_prime_near_zero_for_lam_just_above_root(kappa, lam, frac):
+    # sinh - (lam/root) cosh cancels there as big_c does; the closed form was
+    # off by 0.09% to 15% of big_c' and of the drift -big_c'/big_c
+    t = frac * first_zero(kappa, lam)
+    h = 1e-4
+    fd = (big_c(kappa, lam, t + h) - big_c(kappa, lam, t - h)) / (2 * h)
+    assert big_c_prime(kappa, lam, t) == pytest.approx(fd, rel=1e-7)
+    assert t_kappa_lambda(kappa, lam, t) == pytest.approx(-fd / big_c(kappa, lam, t), rel=1e-7)
+
+
 @given(kappas, fractions)
 def test_t_kappa_lambda_reduces_at_zero_lam(kappa, frac):
     t = abs(t_in_domain(kappa, frac))
@@ -236,6 +250,12 @@ def test_small_curvature_continuity(kappa, t):
 @given(kappas, st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=200)
 @example(kappa=-9.0, lam=3.0)  # big_c = exp(-3t): cosh - sinh used to cancel to 0
+# lam just above sqrt(-kappa): cosh - (lam/root) sinh cancelled to 0.0 or to
+# +7.45e-9 on both sides of the zero, and atanh of the rounded ratio root/lam
+# put the zero 0.8% late
+@example(kappa=-1.0, lam=1.0000000000000009)
+@example(kappa=-1.0, lam=1.0000000000000002)
+@example(kappa=-9.0, lam=3.0000000000000004)
 def test_first_zero_matches_bisection(kappa, lam):
     zero = first_zero(kappa, lam)
     if math.isinf(zero):
@@ -245,7 +265,7 @@ def test_first_zero_matches_bisection(kappa, lam):
     lo, hi = 0.0, zero * 1.5
     # profile is positive at 0 and changes sign at the first zero
     assert big_c(kappa, lam, zero * 0.999) > 0.0
-    assert big_c(kappa, lam, min(hi, zero * 1.001)) < 0.0 or True
+    assert big_c(kappa, lam, min(hi, zero * 1.001)) < 0.0
     f_lo = 1.0
     f_hi = big_c(kappa, lam, hi)
     if f_hi > 0:
@@ -318,3 +338,109 @@ def test_vectorized_matches_scalar():
         assert d[i] == drift_kahler(p, float(t))
     assert isinstance(weight_kahler(p, 0.5), float)
     assert isinstance(w, np.ndarray)
+
+
+# --- the expressions the weights were first written with, bit for bit --------
+#
+# References written out as the series with u**3 on every sample, both
+# branches and np.where.  The series is selected only where |u| < 1e-6, where
+# its cubic term is below half an ulp of the sum, so evaluating it there
+# alone, by multiplication, changes no bit; nor does big_c returning c_kappa
+# at lam = 0, as c - 0 s = c for finite s.
+
+
+def ref_c(kappa, t):
+    if kappa > 0:
+        return np.cos(math.sqrt(kappa) * t)
+    if kappa < 0:
+        return np.cosh(math.sqrt(-kappa) * t)
+    return np.ones_like(t)
+
+
+def ref_s(kappa, t):
+    if kappa == 0.0:
+        return t.copy()
+    u = kappa * t * t
+    series = t * (1.0 - u / 6.0 + u * u / 120.0 - u**3 / 5040.0)
+    root = math.sqrt(abs(kappa))
+    branch = np.sin(root * t) / root if kappa > 0 else np.sinh(root * t) / root
+    return np.where(np.abs(u) < 1e-6, series, branch)
+
+
+def ref_t(kappa, t):
+    if kappa == 0.0:
+        return np.zeros_like(t)
+    u = kappa * t * t
+    series = kappa * t * (1.0 + u / 3.0 + u * u * (2.0 / 15.0) + u**3 * (17.0 / 315.0))
+    root = math.sqrt(abs(kappa))
+    branch = root * np.tan(root * t) if kappa > 0 else -root * np.tanh(root * t)
+    return np.where(np.abs(u) < 1e-6, series, branch)
+
+
+def ref_big_c(kappa, lam, t):
+    out = ref_c(kappa, t) - lam * ref_s(kappa, t)
+    if kappa < 0 and lam <= math.sqrt(-kappa):
+        root = math.sqrt(-kappa)
+        x = root * t
+        tail = np.exp(-x) + ((root - lam) / root) * np.sinh(x)
+        out = np.where(out < 0.5 * np.cosh(x), tail, out)
+    return out
+
+
+def ref_weight(factors, t, lam=None):
+    profile = ref_c if lam is None else (lambda k, x: ref_big_c(k, lam, x))
+    terms = [profile(k, t) ** p for k, p in factors]
+    out = terms[0]
+    for term in terms[1:]:
+        out = out * term
+    return out
+
+
+EXACT_KAPPAS = (-4.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 4.0)
+
+
+def exact_grid(kappa, radius):
+    """t >= 0 through the series switch at 1e-3/sqrt|kappa| and on to 0.99
+    of `radius` (10/sqrt|kappa|, or 10, where the radius is infinite)."""
+    scale = 1.0 / math.sqrt(abs(kappa)) if kappa else 1.0
+    end = 0.99 * radius if math.isfinite(radius) else 10.0 * scale
+    near = np.linspace(0.0, min(2e-3 * scale, end), 257)
+    return np.concatenate([near, np.linspace(0.0, end, 257)])
+
+
+def exact_lams(kappa):
+    return (0.0, -0.5, math.sqrt(abs(kappa)))
+
+
+@pytest.mark.parametrize("kappa", EXACT_KAPPAS)
+def test_profiles_match_reference_bit_for_bit(kappa):
+    ts = exact_grid(kappa, first_zero(kappa, 0.0))
+    assert np.array_equal(s_kappa(kappa, ts), ref_s(kappa, ts))
+    assert np.array_equal(t_kappa(kappa, ts), ref_t(kappa, ts))
+    assert np.array_equal(s_kappa(kappa, -ts), ref_s(kappa, -ts))
+    assert np.array_equal(t_kappa(kappa, -ts), ref_t(kappa, -ts))
+    for t in ts[::16]:
+        assert s_kappa(kappa, float(t)) == float(ref_s(kappa, np.array(t)))
+        assert t_kappa(kappa, float(t)) == float(ref_t(kappa, np.array(t)))
+    for lam in exact_lams(kappa):
+        ts = exact_grid(kappa, first_zero(kappa, lam))
+        assert np.array_equal(big_c(kappa, lam, ts), ref_big_c(kappa, lam, ts)), lam
+
+
+@pytest.mark.parametrize("kappa", EXACT_KAPPAS)
+def test_weights_match_reference_bit_for_bit(kappa):
+    # kappa1 = kappa/4 puts both Kahler factors at curvature kappa
+    params = CurvatureParams(m=3, kappa1=kappa / 4.0, kappa2=kappa)
+    kahler = ((kappa, 1), (kappa, 4))
+    ts = exact_grid(kappa, weight_kahler_radius(params))
+    assert np.array_equal(weight_kahler(params, ts), ref_weight(kahler, ts))
+    assert np.array_equal(weight_kahler(params, -ts), ref_weight(kahler, -ts))
+    assert np.array_equal(weight_riemannian(4, kappa, ts), ref_weight(((kappa, 3),), ts))
+    # lam = 0 recovers the interior weight on t >= 0, to the last bit
+    assert np.array_equal(weight_dirichlet(params, 0.0, ts), weight_kahler(params, ts))
+    for lam in exact_lams(kappa):
+        ts = exact_grid(kappa, weight_dirichlet_radius(params, lam))
+        assert np.array_equal(weight_dirichlet(params, lam, ts), ref_weight(kahler, ts, lam)), lam
+        assert np.array_equal(
+            weight_riemannian_dirichlet(4, kappa, lam, ts), ref_weight(((kappa, 3),), ts, lam)
+        ), lam

@@ -25,10 +25,13 @@ from eigenbounds.sturm_liouville import (
     SLProblem,
     _bracket,
     _brent,
+    _build_mesh,
     _shoot,
     _Shooter,
+    _step_bands,
     _unscaled,
     _weight_tables,
+    dtbtrs,
     eigen_limit,
     neumann_first_nonzero_direct,
     rayleigh_quotient,
@@ -164,6 +167,39 @@ def test_banded_kernel_matches_rk4_reference(problem):
     for lam in r.value * np.geomspace(0.05, 30.0, 20):
         kernel = _shoot((bands, rhs, 0.0), float(lam))
         assert abs(kernel - rk4_reference(problem, ts, float(lam))) <= 1e-12 * w0, lam
+
+
+@pytest.mark.parametrize(
+    "ts", [_build_mesh(1.0, 6, 0.0), _build_mesh(1.0, 6, 1e-3)], ids=["uniform", "graded_cut"]
+)
+def test_step_bands_solve_is_classical_rk4(ts):
+    # the band's forward solve gives, at every node, the state of classical
+    # RK4 on phi' = u/w, u' = -lam w phi with w sampled at t, t + h/2, t + h
+    rng = np.random.default_rng(7)
+    w_nodes = rng.uniform(0.5, 2.0, len(ts))
+    w_mids = rng.uniform(0.5, 2.0, len(ts) - 1)
+    bands = _step_bands(ts, w_nodes, w_mids)
+    rhs = np.zeros(2 * len(ts))
+    rhs[1] = w_nodes[0]
+    # the problem's first eigenvalue is above (pi/2)^2 min(w)/max(w) > 0.6
+    for lam in (0.05, 0.5):
+        band = bands[..., 0] + lam * (bands[..., 1] + lam * bands[..., 2])
+        states, info = dtbtrs(band, rhs, uplo="L", diag="U")
+        assert info == 0
+
+        def f(w, y):
+            return np.array([y[1] / w, -lam * w * y[0]])
+
+        y = np.array([0.0, w_nodes[0]])
+        expected = [y]
+        for h, w0, wm, w1 in zip(np.diff(ts), w_nodes[:-1], w_mids, w_nodes[1:]):
+            k1 = f(w0, y)
+            k2 = f(wm, y + 0.5 * h * k1)
+            k3 = f(wm, y + 0.5 * h * k2)
+            k4 = f(w1, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(y)
+        np.testing.assert_allclose(states, np.concatenate(expected), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
