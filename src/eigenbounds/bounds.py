@@ -28,7 +28,7 @@ from .coefficients import (
     weight_riemannian_dirichlet,
 )
 from .errors import DiameterExceedsMaximal, DomainError, InradiusExceedsValidity, NotDecreasing
-from .sturm_liouville import SLProblem, check_length, solve_fd, solve_shooting
+from .sturm_liouville import MIN_LENGTH, SLProblem, check_length, solve_fd, solve_shooting
 # unused here: only the benchmark tracer looks up bounds.eigen_limit; drop with its span
 from .sturm_liouville import eigen_limit  # noqa: F401
 
@@ -146,7 +146,7 @@ def _neumann(factors, names, D, weight_fn, tag, name, n):
     (limit) one, of order the summed powers of the factors whose cap D
     sits on.
     """
-    check_length("diameter", D)
+    check_length("diameter", D, 2.0 * MIN_LENGTH)
     validity = []
     order = 0
     for (k, p), (_, check, what) in zip(factors, names):
@@ -207,7 +207,7 @@ def kahler_dirichlet_bound(
     Requires R strictly below the validity radius (smallest first zero
     among the weight factors).
     """
-    check_length("inradius", R)
+    check_length("inradius", R, MIN_LENGTH)
     return _dirichlet(
         kahler_factors(params), KAHLER_FACTOR_NAMES, lam, R,
         lambda t: weight_dirichlet(params, lam, t), "kahler_dirichlet",
@@ -239,7 +239,7 @@ def riemannian_dirichlet_bound(
     Model weight C_{kappa,lam}^(n-1) on [0, R]; R must lie strictly below
     the first zero of the profile.
     """
-    check_length("inradius", R)
+    check_length("inradius", R, MIN_LENGTH)
     return _dirichlet(
         riemannian_factors(n_dim, kappa), RIEMANNIAN_FACTOR_NAMES, lam, R,
         lambda t: weight_riemannian_dirichlet(n_dim, kappa, lam, t), "riemannian_dirichlet",

@@ -9,18 +9,17 @@ and sine
 which solve y'' + k y = 0 with (c, c')(0) = (1, 0) and (s, s')(0) = (0, 1).
 Derived quantities:
 
-    t_kappa(k, t)           = -c_k'(t)/c_k(t) = sqrt(k) tan(sqrt(k) t), continued
-                              through k <= 0; the tangent-type drift coefficient.
-    big_c(k, L, t)          = c_k(t) - L s_k(t); solves y'' + k y = 0 with
-                              y(0) = 1, y'(0) = -L (boundary-curvature profile).
-    t_kappa_lambda(k, L, t) = -big_c'/big_c; drift of the boundary family.
+    t_kappa(k, t)  = -c_k'(t)/c_k(t) = sqrt(k) tan(sqrt(k) t), continued
+                     through k <= 0; the tangent-type drift coefficient.
+    big_c(k, L, t) = c_k(t) - L s_k(t); solves y'' + k y = 0 with
+                     y(0) = 1, y'(0) = -L (boundary-curvature profile).
 
 Each family's weight is described once, by a factor table of (curvature,
 power) pairs: (4 kappa1, 1) and (kappa2, 2m - 2) for Kahler, (kappa, n - 1)
 for Riemannian.  The interior (Neumann) weight is the product of the c_k
 factors to their powers, even in t; the boundary (Dirichlet) weight uses
 big_c(k, L) factors on t >= 0.  The validity radius is the smallest first
-zero among the factors, the drift the sum of power times tangent.
+zero among the factors, the interior drift the sum of power times tangent.
 
 All functions are branch-safe in the curvature argument: near k = 0 the
 tangent and sine families switch to truncated power series in u = k t^2 so
@@ -52,9 +51,6 @@ __all__ = [
     "c_kappa",
     "s_kappa",
     "big_c",
-    "big_c_prime",
-    "big_c_second",
-    "t_kappa_lambda",
     "first_zero",
     "kahler_factors",
     "riemannian_factors",
@@ -62,7 +58,6 @@ __all__ = [
     "drift_kahler",
     "weight_kahler",
     "weight_kahler_radius",
-    "drift_dirichlet",
     "weight_dirichlet",
     "weight_dirichlet_radius",
     "weight_riemannian",
@@ -208,32 +203,6 @@ def big_c(kappa: float, lam: float, t):
     return _eval(t, f)
 
 
-def big_c_prime(kappa: float, lam: float, t):
-    """Exact derivative of big_c: -kappa*s_kappa(t) - lam*c_kappa(t).
-
-    Cancels like big_c for kappa < 0 with lam near root = sqrt(-kappa);
-    where the closed form is below lam cosh(x)/2, x = root t, it is
-    recomputed as -root exp(-x) + (root - lam) cosh(x), whose terms are
-    no larger than lam cosh(x) for root/2 <= lam <= 2 root.
-    """
-
-    def f(arr):
-        out = np.asarray(-kappa * s_kappa(kappa, arr) - lam * c_kappa(kappa, arr))
-        if kappa < 0 and 0.5 * math.sqrt(-kappa) <= lam <= 2.0 * math.sqrt(-kappa):
-            root = math.sqrt(-kappa)
-            x = root * arr
-            tail = -root * np.exp(-x) + (root - lam) * np.cosh(x)
-            out = np.where(np.abs(out) < 0.5 * lam * np.cosh(x), tail, out)
-        return out
-
-    return _eval(t, f)
-
-
-def big_c_second(kappa: float, lam: float, t):
-    """Exact second derivative of big_c, i.e. -kappa * big_c."""
-    return -kappa * big_c(kappa, lam, t)
-
-
 def first_zero(kappa: float, lam: float) -> float:
     """Smallest t > 0 where big_c(kappa, lam, t) vanishes, or +inf if none.
 
@@ -256,26 +225,6 @@ def first_zero(kappa: float, lam: float) -> float:
         # lam - root is exact for lam <= 2 root (Sterbenz)
         return 0.5 * math.log1p(2.0 * root / (lam - root)) / root
     return math.inf
-
-
-def t_kappa_lambda(kappa: float, lam: float, t):
-    """Drift of the boundary family: -big_c'(t)/big_c(t) on 0 <= t < first_zero.
-
-    Reduces to t_kappa when lam = 0.  Raises DomainError at or beyond the
-    first zero of the profile, where the quotient is undefined.
-    """
-    zero = first_zero(kappa, lam)
-
-    def f(arr):
-        if np.any(arr < 0.0):
-            raise DomainError("t_kappa_lambda requires t >= 0")
-        if np.any(arr >= zero):
-            raise DomainError(
-                f"t_kappa_lambda undefined at/beyond the first profile zero t = {zero}"
-            )
-        return -np.asarray(big_c_prime(kappa, lam, arr)) / np.asarray(big_c(kappa, lam, arr))
-
-    return _eval(t, f)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +270,11 @@ def _weight(factors, t, lam=None):
     return _eval(t, f)
 
 
-def _drift(factors, t, lam=None):
-    """-(log weight)': the sum of power * tangent over the factors."""
-    tangent = t_kappa if lam is None else lambda k, x: t_kappa_lambda(k, lam, x)
-    return functools.reduce(operator.add, (p * tangent(k, t) for k, p in factors))
-
-
 def drift_kahler(params: CurvatureParams, t):
-    """Interior drift t_kappa(4 kappa1, t) + 2(m-1) t_kappa(kappa2, t)."""
-    return _drift(kahler_factors(params), t)
+    """Interior drift t_kappa(4 kappa1, t) + 2(m-1) t_kappa(kappa2, t): -(log
+    weight_kahler)', the sum of power * tangent over the factors."""
+    terms = (p * t_kappa(k, t) for k, p in kahler_factors(params))
+    return functools.reduce(operator.add, terms)
 
 
 def weight_kahler_radius(params: CurvatureParams) -> float:
@@ -342,11 +287,6 @@ def weight_kahler(params: CurvatureParams, t):
     return _weight(kahler_factors(params), t)
 
 
-def drift_dirichlet(params: CurvatureParams, lam: float, t):
-    """Boundary drift t_kappa_lambda(4 kappa1, lam, t) + 2(m-1) t_kappa_lambda(kappa2, lam, t)."""
-    return _drift(kahler_factors(params), t, lam)
-
-
 def weight_dirichlet_radius(params: CurvatureParams, lam: float) -> float:
     """Validity radius of the boundary weight: smallest first zero among factors."""
     return weight_radius(kahler_factors(params), lam)
@@ -354,7 +294,7 @@ def weight_dirichlet_radius(params: CurvatureParams, lam: float) -> float:
 
 def weight_dirichlet(params: CurvatureParams, lam: float, t):
     """Boundary weight big_c_{4 kappa1} big_c_{kappa2}^{2m-2} on [0, radius); lam = 0
-    recovers weight_kahler, and the log-derivative is -drift_dirichlet."""
+    recovers weight_kahler."""
     return _weight(kahler_factors(params), t, lam)
 
 

@@ -37,10 +37,6 @@ class NoBracketFound(SolverError):
     """Eigenvalue scan exhausted its range without bracketing a sign change."""
 
 
-class ZeroDenominator(SolverError):
-    """Rayleigh quotient denominator below machine threshold."""
-
-
 class NotDecreasing(SolverError):
     """Bound values failed to decrease strictly along a diameter grid."""
 

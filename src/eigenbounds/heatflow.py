@@ -1,12 +1,10 @@
-"""Quasilinear 1D flows and modulus-of-continuity envelope checks.
+"""Linear 1D heat flows and modulus-of-continuity envelope checks.
 
-Evolves u_t = alpha(u')u'' - drift(x) beta(u')u' on a symmetric interval
-[-ell, ell] with Neumann ends and records the oscillation of the solution
-over time.  For the linear profile (alpha = beta = 1) the oscillation
-decays like exp(-lambda_1 t), so a least-squares fit of log osc recovers
-the first nonzero eigenvalue of the matching weighted problem; nonlinear
-profiles are checked for oscillation monotonicity and envelope domination
-instead of a rate.
+Evolves u_t = u'' - drift(x) u' on a symmetric interval [-ell, ell] with
+Neumann ends and records the oscillation of the solution over time.  The
+oscillation decays like exp(-lambda_1 t), so a least-squares fit of log
+osc recovers the first nonzero eigenvalue of the matching weighted
+problem.
 
 The envelope check takes a recorded trajectory and a candidate barrier
 phi(s, t): it verifies the barrier's supersolution property and monotonicity
@@ -25,12 +23,10 @@ import numpy as np
 from .errors import DegenerateInitialData, DomainError, StabilityFailure
 
 __all__ = [
-    "FlowProfile",
     "DecayFit",
     "FlowResult",
     "EnvelopeReport",
     "LINEAR",
-    "GRAPHICAL_MCF",
     "heatflow_1d",
     "modulus_envelope_check",
     "modulus_of_continuity",
@@ -50,23 +46,9 @@ CFL_SAFETY = 0.4
 MAX_FLOW_NODES = 2048
 
 
-@dataclass(frozen=True)
-class FlowProfile:
-    """Gradient-dependent coefficients of the isotropic flow."""
-
-    alpha: Callable
-    beta: Callable
-    name: str = ""
-
-
-def _ones(s):
-    return np.ones_like(s)
-
-
-LINEAR = FlowProfile(alpha=_ones, beta=_ones, name="linear")
-GRAPHICAL_MCF = FlowProfile(
-    alpha=lambda s: 1.0 / (1.0 + s * s), beta=_ones, name="graphical mcf"
-)
+# the profile argument of heatflow_1d, kept for its positional callers: the
+# flow is always the linear u_t = u'' - drift u'
+LINEAR = "linear"
 
 
 @dataclass
@@ -87,12 +69,10 @@ class FlowResult:
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
     osc: np.ndarray = field(repr=False)
-    profile: FlowProfile
     drift: Callable | None
     length: float
     fit: DecayFit | None = None
-    # explicit Euler steps taken (or folded into the propagator) and the
-    # stable step, the last one chosen when the profile moves it
+    # explicit Euler steps folded into the propagator, and the stable step
     steps: int = 0
     dt: float = 0.0
 
@@ -110,7 +90,7 @@ class EnvelopeReport:
 
 def heatflow_1d(
     drift: Callable | None,
-    profile: FlowProfile,
+    profile: str,
     ell: float,
     u0,
     T: float,
@@ -124,12 +104,14 @@ def heatflow_1d(
     The grid is cell-centered (nodes at half-cell offsets from the ends),
     so a drift with integrable singularities at the endpoints stays
     finite.  Explicit Euler stepping with combined diffusion/transport
-    stability control; the step shrinks automatically where alpha or the
-    drift is large.  The LINEAR profile has a fixed right-hand side and
-    step, so each record interval is one precomputed propagator.  When
-    `fit_target` is given, log osc is fitted on the final third of [0, T]
-    (at least 3 records) and reported as a DecayFit against that target.
+    stability control; the step shrinks where the drift is large.  The
+    right-hand side and the step are fixed, so each record interval is one
+    precomputed propagator.  `profile` must be LINEAR.  When `fit_target`
+    is given, log osc is fitted on the final third of [0, T] (at least 3
+    records) and reported as a DecayFit against that target.
     """
+    if profile is not LINEAR:
+        raise DomainError(f"the only flow profile is LINEAR, got {profile!r}")
     if not (np.isfinite(ell) and ell > 0):
         raise DomainError(f"half-length must be positive and finite, got {ell}")
     if not (np.isfinite(T) and T > 0):
@@ -144,7 +126,7 @@ def heatflow_1d(
         raise DomainError(f"fit window holds fewer than 3 of the {records} records")
     h = 2.0 * ell / n
     xs = -ell + (np.arange(n) + 0.5) * h
-    u = np.asarray(u0(xs) if callable(u0) else u0, dtype=float).copy()
+    u = np.asarray(u0(xs) if callable(u0) else u0, dtype=float)
     if u.shape != xs.shape:
         raise DomainError(f"initial data must have {n} values, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
@@ -159,48 +141,26 @@ def heatflow_1d(
 
     states = np.empty((records + 1, n))
     states[0] = u
-    dt_min = T / 1e8
-    dt, steps, refresh, t = 0.0, 0, 0, 0.0
-    if profile.alpha is _ones and profile.beta is _ones:
-        # u_t = L u with L = D2 - tau D1 and one fixed step dt: a record
-        # interval is s full Euler steps and a remainder step r, so each
-        # record advances by the propagator (I + r L)(I + dt L)^s
-        eye = np.eye(n)
-        d1, d2 = _differences(eye, h)
-        lop = d2 - tau[:, None] * d1
-        dt = _stable_step(1.0, float(np.max(np.abs(tau))), h, dt_min, t)
-        s = int((T / records) // dt)
-        r = T / records - s * dt
-        prop = np.linalg.matrix_power(eye + dt * lop, s)
-        if r > 0.0:
-            prop = (eye + r * lop) @ prop
-        steps = records * (s + int(r > 0.0))
-        for k in range(1, records + 1):
-            np.dot(prop, states[k - 1], out=states[k])
-        # checked once over the table, naming the first record that is not finite
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            t = record_times[np.argmin(finite)]
-            raise StabilityFailure(f"solution lost finiteness by t = {t:.6f}")
-    else:
-        # gradient-dependent profiles: one Euler step at a time, the
-        # stable step re-examined every 16 steps
-        for k in range(1, records + 1):
-            while t < record_times[k]:
-                d1, d2 = _differences(u, h)
-                a = _coefficient(profile.alpha, d1, profile)
-                tb = tau * _coefficient(profile.beta, d1, profile)
-                if refresh <= 0:
-                    dt = _stable_step(float(np.max(a)), float(np.max(np.abs(tb))), h, dt_min, t)
-                    refresh = 16
-                refresh -= 1
-                step = min(dt, record_times[k] - t)
-                u = u + step * (a * d2 - tb * d1)
-                t += step
-                steps += 1
-            if not np.all(np.isfinite(u)):
-                raise StabilityFailure(f"solution lost finiteness by t = {t:.6f}")
-            states[k] = u
+    # u_t = L u with L = D2 - tau D1 and one fixed step dt: a record
+    # interval is s full Euler steps and a remainder step r, so each
+    # record advances by the propagator (I + r L)(I + dt L)^s
+    eye = np.eye(n)
+    d1, d2 = _differences(eye, h)
+    lop = d2 - tau[:, None] * d1
+    dt = _stable_step(float(np.max(np.abs(tau))), h, T / 1e8)
+    s = int((T / records) // dt)
+    r = T / records - s * dt
+    prop = np.linalg.matrix_power(eye + dt * lop, s)
+    if r > 0.0:
+        prop = (eye + r * lop) @ prop
+    steps = records * (s + int(r > 0.0))
+    for k in range(1, records + 1):
+        np.dot(prop, states[k - 1], out=states[k])
+    # checked once over the table, naming the first record that is not finite
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        t = record_times[np.argmin(finite)]
+        raise StabilityFailure(f"solution lost finiteness by t = {t:.6f}")
 
     osc = states.max(axis=1) - states.min(axis=1)
     fit = None
@@ -220,7 +180,6 @@ def heatflow_1d(
         times=record_times,
         states=states,
         osc=osc,
-        profile=profile,
         drift=drift,
         length=ell,
         fit=fit,
@@ -235,21 +194,14 @@ def _differences(u, h):
     return (pad[2:] - pad[:-2]) * (0.5 / h), (pad[2:] - 2.0 * u + pad[:-2]) * (1.0 / (h * h))
 
 
-def _stable_step(a_max, transport, h, dt_min, t):
+def _stable_step(transport, h, dt_min):
     """Largest explicit step the diffusion and transport limits allow."""
-    dt = CFL_SAFETY * (h * h) / 2.0 / a_max
+    dt = CFL_SAFETY * (h * h) / 2.0
     if transport > 0.0:
         dt = min(dt, CFL_SAFETY * h / transport)
     if dt < dt_min:
-        raise StabilityFailure(f"stable step {dt:.3e} fell below {dt_min:.3e} at t = {t:.6f}")
+        raise StabilityFailure(f"stable step {dt:.3e} fell below {dt_min:.3e}")
     return dt
-
-
-def _coefficient(fn, d1, profile):
-    c = np.asarray(fn(d1), dtype=float)
-    if not np.all(c > 0.0):
-        raise DomainError(f"profile {profile.name!r} must stay positive on the gradient range")
-    return c
 
 
 def modulus_of_continuity(xs, states):
@@ -290,7 +242,7 @@ def modulus_envelope_check(
 
     `envelope` maps (s array, t) to barrier values on s in [0, ell].  Three
     numerical hypothesis checks at t = 0 (supersolution margin against the
-    trajectory's own drift and profile, s-monotonicity, initial
+    trajectory's own drift, s-monotonicity, initial
     domination), then the modulus of every record against 2 phi(s, t).
     The grid must be uniform (DomainError otherwise): the pair sweep of
     `modulus_of_continuity` leaves one largest gap per offset, so the
@@ -312,7 +264,7 @@ def modulus_envelope_check(
     d2 = (phi0[2:] - 2.0 * phi0[1:-1] + phi0[:-2]) / (ds * ds)
     s_int = s_grid[1:-1]
     tau = np.asarray(result.drift(s_int), dtype=float) if result.drift else np.zeros(ns - 1)
-    lphi = result.profile.alpha(d1) * d2 - tau * result.profile.beta(d1) * d1
+    lphi = d2 - tau * d1
     margin = phi_t[1:-1] - lphi
     hyp_scale = max(1.0, float(np.max(np.abs(lphi))))
     supersolution_margin = float(np.min(margin))

@@ -2,7 +2,7 @@
 
 Two independent routes to the same eigenvalues:
 
-  * solve_shooting: integrates the self-adjoint first-order system
+  * solve_shooting: advances the self-adjoint first-order system
     phi' = u/w, u' = -lam*w*phi from the left end by classical RK4,
     brackets the sign change of the Neumann shooting function
     S(lam) = u(ell; lam) by a walk in lam and finds its root by Brent's
@@ -51,14 +51,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure, ZeroDenominator
+from .errors import DomainError, NoBracketFound, SolverError, StabilityFailure
 
 __all__ = [
     "SLProblem",
     "EigenResult",
     "solve_shooting",
     "solve_fd",
-    "rayleigh_quotient",
     "neumann_first_nonzero_direct",
     "eigen_limit",
     "check_length",
@@ -91,13 +90,14 @@ OVERFLOW_MESSAGE = (
 )
 
 
-def check_length(what, ell):
-    """Refuse a length that is not finite, or below MIN_LENGTH."""
+def check_length(what, ell, least):
+    """Refuse a length that is not finite, or below `least`: MIN_LENGTH for
+    a length that is solved, twice that for a diameter, whose half is."""
     if not (math.isfinite(ell) and ell > 0):
         raise DomainError(f"{what} must be positive and finite, got {ell}")
-    if ell < MIN_LENGTH:
+    if ell < least:
         raise DomainError(
-            f"{what} must be at least {MIN_LENGTH} (eigenvalues scale like 1/length^2), got {ell}"
+            f"{what} must be at least {least} (eigenvalues scale like 1/length^2), got {ell}"
         )
 
 
@@ -173,7 +173,7 @@ class SLProblem:
     order: float = 0
 
     def __post_init__(self):
-        check_length("interval length", self.length)
+        check_length("interval length", self.length, MIN_LENGTH)
 
 
 @dataclass
@@ -690,57 +690,8 @@ def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> E
     half-interval reduction.  The weight must be even and positive;
     evenness is verified on the 2n grid before either grid is solved.
     """
-    check_length("half_length", half_length)
+    check_length("half_length", half_length, MIN_LENGTH)
     return _fd(weight, -half_length, half_length, n, free=True)
-
-
-# ---------------------------------------------------------------------------
-# Rayleigh quotient
-
-
-def _derivative_samples(ts, ys):
-    """Fourth-order finite-difference derivative on a uniform grid,
-    second-order one-sided at the ends; np.gradient on nonuniform grids."""
-    hs = np.diff(ts)
-    if hs.size >= 4 and np.allclose(hs, hs[0], rtol=1e-10):
-        h = hs[0]
-        d = np.empty_like(ys)
-        d[2:-2] = (ys[:-4] - 8 * ys[1:-3] + 8 * ys[3:-1] - ys[4:]) / (12 * h)
-        d[0] = (-3 * ys[0] + 4 * ys[1] - ys[2]) / (2 * h)
-        d[1] = (ys[2] - ys[0]) / (2 * h)
-        d[-2] = (ys[-1] - ys[-3]) / (2 * h)
-        d[-1] = (3 * ys[-1] - 4 * ys[-2] + ys[-3]) / (2 * h)
-        return d
-    return np.gradient(ys, ts, edge_order=2)
-
-
-def rayleigh_quotient(problem: SLProblem, ts, phi) -> float:
-    """Quotient of weighted energies int w phi'^2 / int w phi^2.
-
-    Simpson on uniform grids, trapezoid otherwise.  An upper bound for the
-    first eigenvalue of the matching problem, up to quadrature error, for
-    any trial satisfying the essential condition phi(0) = 0.
-    """
-    from scipy.integrate import simpson  # here: no command imports scipy.integrate
-
-    ts = np.asarray(ts, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if ts.ndim != 1 or ts.shape != phi.shape or ts.size < 5:
-        raise DomainError("trial must be sampled on a 1D grid of at least 5 points")
-    w = np.asarray(problem.weight(ts), dtype=float)
-    dphi = _derivative_samples(ts, phi)
-    hs = np.diff(ts)
-    uniform = np.allclose(hs, hs[0], rtol=1e-10)
-    if uniform:
-        num = simpson(w * dphi * dphi, x=ts)
-        den = simpson(w * phi * phi, x=ts)
-    else:
-        num = np.trapezoid(w * dphi * dphi, x=ts)
-        den = np.trapezoid(w * phi * phi, x=ts)
-    scale = float(np.max(w) * np.max(phi * phi) * problem.length)
-    if den <= 1e-14 * max(scale, 1e-300):
-        raise ZeroDenominator("trial function has vanishing weighted norm")
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ __all__ = [
     "DiameterEstimate",
     "SurfaceComparison",
     "sphere_profile",
-    "band_profile",
-    "spindle_profile",
     "capsule_profile",
     "random_convex_profile",
     "surface_eigen",
@@ -165,40 +163,6 @@ def sphere_profile(a: float) -> SurfaceProfile:
         length=math.pi * a,
         closure="two_poles",
         name=f"sphere a={a}",
-    )
-
-
-def band_profile(c: float, L: float) -> SurfaceProfile:
-    """Flat cylinder band of circumference 2 pi c and height L."""
-    if not (c > 0 and L > 0):
-        raise ProfileError(f"band needs positive width and length, got c={c}, L={L}")
-    return SurfaceProfile(
-        f=lambda r: np.full_like(np.asarray(r, dtype=float), c),
-        df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        d2f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        length=L,
-        closure="neumann_band",
-        name=f"band c={c} L={L}",
-    )
-
-
-def spindle_profile(eps: float) -> SurfaceProfile:
-    """Cone-pole profile eps sin(pi r) on [0, 1]: constant curvature pi^2.
-
-    The poles are conical for eps pi != 1 (the mode solver admits
-    them); the k = 0 spectrum does not depend on eps at all, so the
-    family realizes the maximal-diameter equality case of the positive
-    curvature bound rather than a flat collapse.
-    """
-    if not eps > 0:
-        raise ProfileError(f"spindle needs positive eps, got eps={eps}")
-    return SurfaceProfile(
-        f=lambda r: eps * np.sin(math.pi * np.asarray(r, dtype=float)),
-        df=lambda r: eps * math.pi * np.cos(math.pi * np.asarray(r, dtype=float)),
-        d2f=lambda r: -eps * math.pi * math.pi * np.sin(math.pi * np.asarray(r, dtype=float)),
-        length=1.0,
-        closure="two_poles",
-        name=f"spindle eps={eps} L=1.0",
     )
 
 

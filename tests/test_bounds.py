@@ -28,7 +28,6 @@ from eigenbounds.errors import (
     InradiusExceedsValidity,
     InvalidDimension,
 )
-from eigenbounds.heatflow import FlowProfile
 from eigenbounds.sturm_liouville import SLProblem
 from eigenbounds.surfaces import SurfaceProfile
 
@@ -393,12 +392,59 @@ class TestPublicApi:
         assert eigenbounds.CurvatureParams is CurvatureParams
         assert eigenbounds.kahler_neumann_bound is kahler_neumann_bound
 
+    # each module's __all__, as TestSettableValues pins the defaults: a new
+    # public name is a visible change here
+    EXPORTS = {
+        "eigenbounds": [
+            "BoundResult", "ComparisonReport", "CurvatureParams", "explicit_bound_table",
+            "kahler_dirichlet_bound", "kahler_neumann_bound", "lichnerowicz_comparison",
+            "monotonicity_scan", "riemannian_dirichlet_bound", "riemannian_neumann_bound",
+            "run_suite",
+        ],
+        "bounds": [
+            "BoundResult", "ComparisonReport", "kahler_neumann_bound", "kahler_dirichlet_bound",
+            "riemannian_neumann_bound", "riemannian_dirichlet_bound", "lichnerowicz_comparison",
+            "explicit_bound_table", "monotonicity_scan",
+        ],
+        "cli": ["main", "build_parser"],
+        "coefficients": [
+            "CurvatureParams", "t_kappa", "c_kappa", "s_kappa", "big_c", "first_zero",
+            "kahler_factors", "riemannian_factors", "weight_radius", "drift_kahler",
+            "weight_kahler", "weight_kahler_radius", "weight_dirichlet", "weight_dirichlet_radius",
+            "weight_riemannian", "weight_riemannian_dirichlet",
+        ],
+        "errors": None,
+        "heatflow": [
+            "DecayFit", "FlowResult", "EnvelopeReport", "LINEAR", "heatflow_1d",
+            "modulus_envelope_check", "modulus_of_continuity", "FIT_RESIDUAL_MAX", "MAX_FLOW_NODES",
+        ],
+        "sturm_liouville": [
+            "SLProblem", "EigenResult", "solve_shooting", "solve_fd",
+            "neumann_first_nonzero_direct", "eigen_limit", "check_length",
+        ],
+        "suites": ["SUITE_NAMES", "DEFAULT_SEED", "SuiteResult", "run_suite"],
+        "surfaces": [
+            "SurfaceProfile", "SurfaceSpectrum", "DiameterEstimate", "SurfaceComparison",
+            "sphere_profile", "capsule_profile", "random_convex_profile", "surface_eigen",
+            "surface_diameter_upper", "comparison_check",
+        ],
+    }
+
+    def test_module_exports_are_pinned(self):
+        import eigenbounds
+
+        found = {"eigenbounds": eigenbounds.__all__}
+        for m in pkgutil.iter_modules(eigenbounds.__path__):
+            module = importlib.import_module(f"eigenbounds.{m.name}")
+            found[m.name] = getattr(module, "__all__", None)
+        assert found == self.EXPORTS
+
 
 class TestSettableValues:
     # every defaulted parameter of the functions in each module's __all__,
     # with its default, and the defaulted fields of the input dataclasses:
     # a new library knob is a visible change here
-    INPUTS = (CurvatureParams, SLProblem, SurfaceProfile, FlowProfile)
+    INPUTS = (CurvatureParams, SLProblem, SurfaceProfile)
     DEFAULTS = {
         "bounds.kahler_neumann_bound": {"n": 2000},
         "bounds.kahler_dirichlet_bound": {"n": 2000},
@@ -420,7 +466,6 @@ class TestSettableValues:
         "coefficients.CurvatureParams": {"kappa2": 0.0},
         "sturm_liouville.SLProblem": {"power": 0, "name": "", "order": 0},
         "surfaces.SurfaceProfile": {"name": ""},
-        "heatflow.FlowProfile": {"name": ""},
     }
 
     def test_defaults_are_pinned(self):

@@ -190,19 +190,26 @@ class TestBound:
             ("kahler-neumann", "--m", "2", "--D", "1e-300"),
             ("kahler-neumann", "--m", "2", "--D", "1e-160"),
             ("kahler-neumann", "--m", "2", "--D", "1e-155"),
+            # the solver gets D/2: a diameter below twice the floor used to
+            # be refused as an "interval length" of D/2
+            ("kahler-neumann", "--m", "2", "--D", "1.5e-152"),
             ("kahler-dirichlet", "--m", "2", "--lambda", "1e300", "--R", "1e-301"),
             ("kahler-dirichlet", "--m", "2", "--R", "1e-160"),
             ("riemannian-neumann", "--n", "3", "--D", "1e-160"),
+            ("riemannian-neumann", "--n", "3", "--D", "1.5e-152"),
             ("riemannian-dirichlet", "--n", "3", "--R", "1e-160"),
         ],
         ids=" ".join,
     )
     def test_tiny_interval_exits_2(self, capsys, argv):
-        # the eigenvalue scale 1/length^2 overflows: refused in one line
+        # the eigenvalue scale 1/length^2 overflows: refused in one line that
+        # names the length given, a diameter at twice the solved floor
         code, out, err = run_cli(capsys, "bound", *argv)
         assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("eigenbounds: validity:")
-        assert "must be at least 1e-152" in err
+        assert len(err.splitlines()) == 1
+        what, floor = ("diameter", "2e-152") if "--D" in argv else ("inradius", "1e-152")
+        assert err.startswith(f"eigenbounds: validity: {what} must be at least {floor} ")
+        assert err.endswith(f"got {argv[-1]}\n")
 
     def test_tiny_interval_floor_keeps_values(self, capsys):
         # D = 1e-150 still solves, on the flat closed form pi^2 / D^2

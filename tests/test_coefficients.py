@@ -5,18 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from identities import big_c_prime, big_c_second, drift_dirichlet, t_kappa_lambda
+
 from eigenbounds.coefficients import (
     CurvatureParams,
     big_c,
-    big_c_prime,
-    big_c_second,
     c_kappa,
-    drift_dirichlet,
     drift_kahler,
     first_zero,
     s_kappa,
     t_kappa,
-    t_kappa_lambda,
     weight_dirichlet,
     weight_dirichlet_radius,
     weight_kahler,

@@ -10,10 +10,8 @@ from eigenbounds.errors import DegenerateInitialData, DomainError, StabilityFail
 from eigenbounds.heatflow import (
     CFL_SAFETY,
     FIT_RESIDUAL_MAX,
-    GRAPHICAL_MCF,
     LINEAR,
     MAX_FLOW_NODES,
-    FlowProfile,
     FlowResult,
     heatflow_1d,
     modulus_envelope_check,
@@ -64,30 +62,16 @@ class TestOscillation:
         r = heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=64)
         assert np.all(np.diff(r.osc) <= 1e-12 * r.osc[0])
 
-    def test_monotone_under_graphical_mcf(self):
-        r = heatflow_1d(None, GRAPHICAL_MCF, 0.5, lambda x: np.tanh(10.0 * x), 1.0, n=128)
-        assert np.all(np.diff(r.osc) <= 1e-12 * r.osc[0])
-        assert r.osc[-1] < 0.01 * r.osc[0]
-
 
 class TestFailureModes:
     def test_constant_initial_data(self):
         with pytest.raises(DegenerateInitialData):
             heatflow_1d(None, LINEAR, 0.5, lambda x: np.ones_like(x), 1.0, n=32)
 
-    def test_stability_failure_on_huge_diffusivity(self):
-        stiff = FlowProfile(
-            alpha=lambda s: np.full_like(s, 1e9), beta=lambda s: np.ones_like(s), name="stiff"
-        )
-        with pytest.raises(StabilityFailure):
-            heatflow_1d(None, stiff, 0.5, _sign_like, 1.0, n=16)
-
-    def test_profile_positivity_enforced(self):
-        bad = FlowProfile(
-            alpha=lambda s: 1.0 - 10.0 * s * s, beta=lambda s: np.ones_like(s), name="bad"
-        )
-        with pytest.raises(DomainError):
-            heatflow_1d(None, bad, 0.5, lambda x: np.tanh(10.0 * x), 0.1, n=32)
+    def test_stability_failure_on_huge_drift(self):
+        # the transport limit puts the stable step far below T / 1e8
+        with pytest.raises(StabilityFailure, match="stable step .* fell below 1.000e-08"):
+            heatflow_1d(lambda x: 1e9 * x, LINEAR, 0.5, _sign_like, 1.0, n=16)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -100,6 +84,8 @@ class TestFailureModes:
             heatflow_1d(None, LINEAR, 0.5, np.zeros(7), 1.0, n=32)
         with pytest.raises(DomainError):
             heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=MAX_FLOW_NODES + 1)
+        with pytest.raises(DomainError, match="the only flow profile is LINEAR, got 'mcf'"):
+            heatflow_1d(None, "mcf", 0.5, _sign_like, 1.0)
 
     @pytest.mark.parametrize("records", [0, -3, 2.5, "400"])
     def test_records_must_be_a_positive_int(self, records):
@@ -144,7 +130,6 @@ def _euler_reference(drift, ell, u0, T, n, records):
 
 
 _KAPPA2 = CurvatureParams(m=2, kappa1=0.0, kappa2=1.0)
-_LINEAR_TWIN = FlowProfile(alpha=lambda s: np.ones_like(s), beta=lambda s: np.ones_like(s))
 
 
 class TestPropagator:
@@ -167,11 +152,6 @@ class TestPropagator:
         assert r.states.size == (records + 1) * n
         assert r.dt == dt
         assert r.steps == records * math.ceil(T / records / dt)
-        # the same flow under a profile the propagator does not recognize
-        # runs the step loop, one counted step at a time
-        loop = heatflow_1d(drift, _LINEAR_TWIN, ell, u0, T, n=n, records=records)
-        assert (loop.steps, loop.dt) == (r.steps, r.dt)
-        assert np.max(np.abs(loop.states - states)) <= 1e-12 * scale
 
 
 def _envelope_constant(C, lam):
@@ -227,7 +207,6 @@ class TestEnvelope:
             times=np.array([0.0, 0.5, 1.0]),
             states=states,
             osc=np.zeros(3),
-            profile=LINEAR,
             drift=None,
             length=0.5,
         )
@@ -315,7 +294,6 @@ class TestOffsetSweep:
             times=np.array([0.0, 1.0]),
             states=np.tile(np.tanh(xs), (2, 1)),
             osc=np.zeros(2),
-            profile=LINEAR,
             drift=None,
             length=0.5,
         )

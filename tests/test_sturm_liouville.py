@@ -10,16 +10,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from identities import ZeroDenominator, rayleigh_quotient
+
 from eigenbounds import sturm_liouville
 from eigenbounds.bounds import kahler_dirichlet_bound, kahler_neumann_bound
 from eigenbounds.coefficients import CurvatureParams, weight_kahler, weight_riemannian
-from eigenbounds.errors import (
-    DomainError,
-    NoBracketFound,
-    SolverError,
-    StabilityFailure,
-    ZeroDenominator,
-)
+from eigenbounds.errors import DomainError, NoBracketFound, SolverError, StabilityFailure
 from eigenbounds.sturm_liouville import (
     ROOT_RTOL,
     SLProblem,
@@ -34,7 +30,6 @@ from eigenbounds.sturm_liouville import (
     dtbtrs,
     eigen_limit,
     neumann_first_nonzero_direct,
-    rayleigh_quotient,
     solve_fd,
     solve_shooting,
 )

@@ -7,18 +7,18 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from identities import band_profile, spindle_profile
+
 from eigenbounds import surfaces
 from eigenbounds.errors import ProfileError, SolverError
 from eigenbounds.sturm_liouville import eigh_tridiagonal
 from eigenbounds.suites import DEFAULT_SEED
 from eigenbounds.surfaces import (
     CONVEX_K_FLOOR,
-    band_profile,
     capsule_profile,
     comparison_check,
     random_convex_profile,
     sphere_profile,
-    spindle_profile,
     surface_diameter_upper,
     surface_eigen,
 )
