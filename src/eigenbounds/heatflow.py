@@ -110,7 +110,7 @@ def heatflow_1d(
     is given, log osc is fitted on the final third of [0, T] (at least 3
     records) and reported as a DecayFit against that target.
     """
-    if profile is not LINEAR:
+    if profile != LINEAR:
         raise DomainError(f"the only flow profile is LINEAR, got {profile!r}")
     if not (np.isfinite(ell) and ell > 0):
         raise DomainError(f"half-length must be positive and finite, got {ell}")
