@@ -50,4 +50,4 @@ class DegenerateInitialData(ValidityError):
 
 
 class ProfileError(ValidityError):
-    """Surface profile violates its closure invariants."""
+    """Surface profile is not a valid two-pole warping function."""

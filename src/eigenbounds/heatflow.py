@@ -42,8 +42,9 @@ HYPOTHESIS_RTOL = 1e-4  # relative slack of the envelope check's hypotheses
 CFL_SAFETY = 0.4
 # grid nodes per flow: the linear flow's dense n x n propagator takes
 # 8 n^2 bytes (32 MB at n = 2048), and the envelope check's offset sweep
-# about 3 x 8 x n x (records + 1) bytes (20 MB at n = 2048, 400 records)
+# about 3 x 8 x n x (RECORDS + 1) bytes (20 MB at n = 2048)
 MAX_FLOW_NODES = 2048
+RECORDS = 400  # record intervals per flow, each one propagator product
 
 
 # the profile argument of heatflow_1d, kept for its positional callers: the
@@ -96,19 +97,18 @@ def heatflow_1d(
     T: float,
     n: int = 192,
     fit_target: float | None = None,
-    records: int = 400,
 ) -> FlowResult:
     """Evolve the flow on [-ell, ell] and record oscillation over time.
 
-    `u0` is a callable sampled on the grid or an array of n node values.
-    The grid is cell-centered (nodes at half-cell offsets from the ends),
-    so a drift with integrable singularities at the endpoints stays
-    finite.  Explicit Euler stepping with combined diffusion/transport
-    stability control; the step shrinks where the drift is large.  The
-    right-hand side and the step are fixed, so each record interval is one
-    precomputed propagator.  `profile` must be LINEAR.  When `fit_target`
-    is given, log osc is fitted on the final third of [0, T] (at least 3
-    records) and reported as a DecayFit against that target.
+    `u0` is a callable sampled on the grid.  The grid is cell-centered
+    (nodes at half-cell offsets from the ends), so a drift with integrable
+    singularities at the endpoints stays finite.  Explicit Euler stepping
+    with combined diffusion/transport stability control; the step shrinks
+    where the drift is large.  The right-hand side and the step are fixed,
+    so each of the RECORDS record intervals is one precomputed propagator.
+    `profile` must be LINEAR.  When `fit_target` is given, log osc is
+    fitted on the final third of [0, T] and reported as a DecayFit
+    against that target.
     """
     if profile != LINEAR:
         raise DomainError(f"the only flow profile is LINEAR, got {profile!r}")
@@ -118,15 +118,10 @@ def heatflow_1d(
         raise DomainError(f"time horizon must be positive and finite, got {T}")
     if not 16 <= n <= MAX_FLOW_NODES:
         raise DomainError(f"need 16 to {MAX_FLOW_NODES} nodes, got {n}")
-    if not (isinstance(records, (int, np.integer)) and records >= 1):
-        raise DomainError(f"records must be a positive integer, got {records!r}")
-    record_times = np.linspace(0.0, T, records + 1)
-    window = record_times >= (2.0 / 3.0) * T
-    if fit_target is not None and np.count_nonzero(window) < 3:
-        raise DomainError(f"fit window holds fewer than 3 of the {records} records")
+    record_times = np.linspace(0.0, T, RECORDS + 1)
     h = 2.0 * ell / n
     xs = -ell + (np.arange(n) + 0.5) * h
-    u = np.asarray(u0(xs) if callable(u0) else u0, dtype=float)
+    u = np.asarray(u0(xs), dtype=float)
     if u.shape != xs.shape:
         raise DomainError(f"initial data must have {n} values, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
@@ -139,7 +134,7 @@ def heatflow_1d(
     if tau.shape != xs.shape or not np.all(np.isfinite(tau)):
         raise DomainError("drift must be finite on the interior grid")
 
-    states = np.empty((records + 1, n))
+    states = np.empty((RECORDS + 1, n))
     states[0] = u
     # u_t = L u with L = D2 - tau D1 and one fixed step dt: a record
     # interval is s full Euler steps and a remainder step r, so each
@@ -148,13 +143,13 @@ def heatflow_1d(
     d1, d2 = _differences(eye, h)
     lop = d2 - tau[:, None] * d1
     dt = _stable_step(float(np.max(np.abs(tau))), h, T / 1e8)
-    s = int((T / records) // dt)
-    r = T / records - s * dt
+    s = int((T / RECORDS) // dt)
+    r = T / RECORDS - s * dt
     prop = np.linalg.matrix_power(eye + dt * lop, s)
     if r > 0.0:
         prop = (eye + r * lop) @ prop
-    steps = records * (s + int(r > 0.0))
-    for k in range(1, records + 1):
+    steps = RECORDS * (s + int(r > 0.0))
+    for k in range(1, RECORDS + 1):
         np.dot(prop, states[k - 1], out=states[k])
     # checked once over the table, naming the first record that is not finite
     finite = np.isfinite(states).all(axis=1)
@@ -165,6 +160,7 @@ def heatflow_1d(
     osc = states.max(axis=1) - states.min(axis=1)
     fit = None
     if fit_target is not None:
+        window = record_times >= (2.0 / 3.0) * T
         ts_w = record_times[window]
         log_osc = np.log(osc[window])
         slope, intercept = np.polyfit(ts_w, log_osc, 1)

@@ -286,16 +286,16 @@ def _step_bands(ts: np.ndarray, w_nodes: np.ndarray, w_mids: np.ndarray):
     return bands
 
 
-def _shoot(table, lam, end=False):
+def _shoot(table, lam):
     """Classical RK4 sweep of the shooting system, as one banded solve.
 
     y = (phi, u), phi' = u/w, u' = -lam*w*phi, u(0) = w(0).  `table` is
     (bands, rhs, mass) from _Shooter: the band of _step_bands, the right
     side (phi_0, u_0) = (0, w(0)) with zeros after it, and the end mass of
     a cut (see _cut; 0.0 without one), a float.  Forward substitution in
-    dtbtrs is the RK4 recurrence.  Returns S(lam) = u(b) - lam*mass*phi(b)
-    at the last node b, or -w(0) past the first eigenvalue (see below), so
-    S(lam) > 0 exactly when lam lies below it; with `end`, (S(lam), phi(b)).
+    dtbtrs is the RK4 recurrence.  Returns (S(lam), phi(b)) at the last
+    node b, S(lam) = u(b) - lam*mass*phi(b), or -w(0) past the first
+    eigenvalue (see below), so S(lam) > 0 exactly when lam lies below it.
     """
     bands, rhs, mass = table
     # B0 + lam*(B1 + lam*B2), formed in place
@@ -315,7 +315,7 @@ def _shoot(table, lam, end=False):
         s = -float(rhs[1])
     elif not math.isfinite(s):
         raise StabilityFailure(OVERFLOW_MESSAGE)
-    return (s, float(phi[-1])) if end else s
+    return s, float(phi[-1])
 
 
 def _cut(order):
@@ -491,7 +491,7 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
 
     def S(lam):
         if lam not in svals:
-            svals[lam] = _shoot(shooter.table, lam, end=True)
+            svals[lam] = _shoot(shooter.table, lam)
         return svals[lam][0]
 
     lo, hi = _bracket(S, shooter)

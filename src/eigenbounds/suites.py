@@ -40,17 +40,6 @@ __all__ = ["SUITE_NAMES", "DEFAULT_SEED", "SuiteResult", "run_suite"]
 
 DEFAULT_SEED = 20240817
 
-SUITE_NAMES = (
-    "all",
-    "lemma32",
-    "prop13",
-    "dirichlet-identity",
-    "heatflow",
-    "sphere",
-    "surfaces",
-    "monotonicity",
-)
-
 
 @dataclass
 class SuiteResult:
@@ -361,6 +350,7 @@ _SUITES = {
     "surfaces": surfaces_suite,
     "monotonicity": monotonicity_suite,
 }
+SUITE_NAMES = ("all", *_SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, grid: int = 2000) -> SuiteResult:

@@ -7,12 +7,12 @@ Laplace eigenproblem into Fourier modes k:
 
 The mode solver uses a staggered (cell-centered) grid so 1/f is never
 evaluated at a pole, with zero-flux faces at both ends: at a pole the face
-coefficient f(0) = 0 encodes the regularity condition on its own, on a
-band end it is the Neumann condition, and for k >= 1 the potential wall
-k^2/f enforces decay at poles.  The first nonzero eigenvalue over modes
-0..K is the surface's mu_1.  Each mode's value is the first eigenvalue of
-a positive definite tridiagonal pencil, found by inverse iteration whose
-shifts dpttrf certifies to lie below it (see _first_pair).
+coefficient f(0) = 0 encodes the regularity condition on its own, and for
+k >= 1 the potential wall k^2/f enforces decay.  The first nonzero
+eigenvalue over modes 0..MODES is the surface's mu_1.  Each mode's value
+is the first eigenvalue of a positive definite tridiagonal pencil, found
+by inverse iteration whose shifts dpttrf certifies to lie below it (see
+_first_pair).
 
 The diameter of a two-pole surface is its meridian length L: the metric
 is at least dr^2, so every pole-to-pole path is at least L long, and two
@@ -72,24 +72,24 @@ MAX_PROFILE_DRAWS = 64  # candidates the random generator draws before giving up
 # at most MODE_RTOL relative, and fails after MODE_MAX_SOLVES solves
 MODE_RTOL = 1e-14
 MODE_MAX_SOLVES = 50
+# surface_eigen solves Fourier modes 0..MODES on MODE_CELLS and 2 MODE_CELLS cells
+MODES = 3
+MODE_CELLS = 512
 
 
 @dataclass(frozen=True)
 class SurfaceProfile:
-    """Warping function of a surface of revolution with its derivatives."""
+    """Warping function of a two-pole surface of revolution, with derivatives."""
 
     f: Callable
     df: Callable
     d2f: Callable
     length: float
-    closure: str
     name: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0):
             raise ProfileError(f"meridian length must be positive, got {self.length}")
-        if self.closure not in ("two_poles", "neumann_band"):
-            raise ProfileError(f"unknown closure {self.closure!r}")
         rs = np.linspace(0.0, self.length, 513)[1:-1]
         vals = np.asarray(self.f(rs), dtype=float)
         if not (np.all(np.isfinite(vals)) and np.all(vals > 0.0)):
@@ -97,16 +97,12 @@ class SurfaceProfile:
         scale = float(np.max(vals))
         f0 = float(self.f(0.0))
         fL = float(self.f(self.length))
-        if self.closure == "two_poles":
-            if abs(f0) > 1e-9 * scale or abs(fL) > 1e-9 * scale:
-                raise ProfileError("two_poles closure needs f(0) = f(L) = 0")
-            if not float(self.df(0.0)) > 0.0:
-                raise ProfileError("two_poles closure needs f'(0) > 0")
-            if not float(self.df(self.length)) < 0.0:
-                raise ProfileError("two_poles closure needs f'(L) < 0")
-        else:
-            if f0 <= 0.0 or fL <= 0.0:
-                raise ProfileError("neumann_band closure needs f > 0 at both ends")
+        if abs(f0) > 1e-9 * scale or abs(fL) > 1e-9 * scale:
+            raise ProfileError("a two-pole profile needs f(0) = f(L) = 0")
+        if not float(self.df(0.0)) > 0.0:
+            raise ProfileError("a two-pole profile needs f'(0) > 0")
+        if not float(self.df(self.length)) < 0.0:
+            raise ProfileError("a two-pole profile needs f'(L) < 0")
 
 
 @dataclass
@@ -161,7 +157,6 @@ def sphere_profile(a: float) -> SurfaceProfile:
         df=lambda r: np.cos(np.asarray(r, dtype=float) / a),
         d2f=lambda r: -np.sin(np.asarray(r, dtype=float) / a) / a,
         length=math.pi * a,
-        closure="two_poles",
         name=f"sphere a={a}",
     )
 
@@ -199,7 +194,7 @@ def capsule_profile(aspect: float) -> SurfaceProfile:
         return out
 
     return SurfaceProfile(
-        f=f, df=df, d2f=d2f, length=1.0, closure="two_poles",
+        f=f, df=df, d2f=d2f, length=1.0,
         name=f"capsule aspect={aspect} L=1.0",
     )
 
@@ -250,7 +245,7 @@ def random_convex_profile(rng: np.random.Generator) -> SurfaceProfile:
         if k_min < CONVEX_K_FLOOR:
             continue
         return SurfaceProfile(
-            f=f, df=df, d2f=d2f, length=math.pi, closure="two_poles",
+            f=f, df=df, d2f=d2f, length=math.pi,
             name=f"perturbed sphere amps={np.round(amps, 4).tolist()}",
         )
     raise ProfileError(f"no admissible convex profile found in {MAX_PROFILE_DRAWS} draws")
@@ -369,19 +364,16 @@ def _mode_values(profile: SurfaceProfile, n: int, modes: int, start=None):
     return values, vectors, total
 
 
-def surface_eigen(profile: SurfaceProfile, modes: int = 3, n: int = 512) -> SurfaceSpectrum:
-    """First nonzero eigenvalue of the surface over Fourier modes 0..modes.
+def surface_eigen(profile: SurfaceProfile) -> SurfaceSpectrum:
+    """First nonzero eigenvalue of the surface over Fourier modes 0..MODES.
 
-    Each mode is solved on n and 2n cells, the 2n grid warm-started from
-    the n grid; the doubled-grid value is reported with the grid
-    difference as its convergence estimate.
+    Each mode is solved on n = MODE_CELLS and 2n cells, the 2n grid
+    warm-started from the n grid; the doubled-grid value is reported with
+    the grid difference as its convergence estimate.
     """
-    if modes < 1:
-        raise ProfileError(f"need at least one rotational mode, got {modes}")
-    if n < 64:
-        raise ProfileError(f"need at least 64 cells, got {n}")
-    coarse = _mode_values(profile, n, modes)
-    fine = _mode_values(profile, 2 * n, modes, start=coarse)
+    n = MODE_CELLS
+    coarse = _mode_values(profile, n, MODES)
+    fine = _mode_values(profile, 2 * n, MODES, start=coarse)
     rows = [
         {"k": k, "value": f, "error": abs(f - c)} for k, (c, f) in enumerate(zip(coarse[0], fine[0]))
     ]
@@ -404,11 +396,8 @@ def surface_diameter_upper(profile: SurfaceProfile) -> DiameterEstimate:
     """Diameter of a two-pole surface, exactly its meridian length L.
 
     Every pole-to-pole path is at least L long and any two points are at
-    most L apart through the nearer pole.  A band's diameter is not its
-    length, so band profiles are refused.
+    most L apart through the nearer pole.
     """
-    if profile.closure != "two_poles":
-        raise ProfileError(f"diameter needs a two_poles profile, got {profile.closure}")
     return DiameterEstimate(profile.length)
 
 
@@ -419,7 +408,7 @@ def surface_diameter_upper(profile: SurfaceProfile) -> DiameterEstimate:
 def comparison_check(profile: SurfaceProfile, grid: int = 2000) -> SurfaceComparison:
     """Check the surface's mu_1 against the m = 1 interior bound.
 
-    `grid` is the bound's FD grid; the spectrum takes surface_eigen's defaults.
+    `grid` is the bound's FD grid; the spectrum is surface_eigen's.
 
     kappa_1 = K_min / 4 with K_min the analytic curvature minimum over a
     dense meridian grid.  The diameter is the meridian length L, exact for

@@ -10,6 +10,7 @@ This file is not a test module; pytest does not collect it.
 import functools
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -132,16 +133,20 @@ def rayleigh_quotient(problem: SLProblem, ts, phi) -> float:
 # surface fixtures
 
 
-def band_profile(c: float, L: float) -> SurfaceProfile:
-    """Flat cylinder band of circumference 2 pi c and height L."""
+def band_profile(c: float, L: float) -> SimpleNamespace:
+    """Flat cylinder band of circumference 2 pi c and height L.
+
+    Not a SurfaceProfile, whose ends are poles: the band's ends are
+    boundary circles.  The mode solver reads only `f` and `length`, and
+    its zero-flux end faces are the band's Neumann condition.
+    """
     if not (c > 0 and L > 0):
         raise ProfileError(f"band needs positive width and length, got c={c}, L={L}")
-    return SurfaceProfile(
+    return SimpleNamespace(
         f=lambda r: np.full_like(np.asarray(r, dtype=float), c),
         df=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         d2f=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         length=L,
-        closure="neumann_band",
         name=f"band c={c} L={L}",
     )
 
@@ -161,6 +166,5 @@ def spindle_profile(eps: float) -> SurfaceProfile:
         df=lambda r: eps * math.pi * np.cos(math.pi * np.asarray(r, dtype=float)),
         d2f=lambda r: -eps * math.pi * math.pi * np.sin(math.pi * np.asarray(r, dtype=float)),
         length=1.0,
-        closure="two_poles",
         name=f"spindle eps={eps} L=1.0",
     )

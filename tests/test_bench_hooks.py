@@ -90,7 +90,7 @@ def test_full_interval_check_traces_no_pencil(capsys):
 
 def test_envelope_check_span_counts_every_pair():
     # the offset sweep still covers all n (n - 1) / 2 pairs of every record
-    flow = heatflow.heatflow_1d(None, heatflow.LINEAR, 0.5, np.tanh, 0.5, n=128, records=400)
+    flow = heatflow.heatflow_1d(None, heatflow.LINEAR, 0.5, np.tanh, 0.5, n=128)
     tracer = spans.Tracer()
     tracer.install()
     try:

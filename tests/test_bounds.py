@@ -92,9 +92,9 @@ class TestShootingWork:
         inner = sturm_liouville._shoot
         lams = []
 
-        def counted(steps, lam, *args, **kwargs):
+        def counted(table, lam):
             lams.append(np.size(lam))
-            return inner(steps, lam, *args, **kwargs)
+            return inner(table, lam)
 
         monkeypatch.setattr(sturm_liouville, "_shoot", counted)
         kahler_neumann_bound(params, D)
@@ -118,9 +118,9 @@ class TestShootingWork:
         inner = sturm_liouville._shoot
         calls = []
 
-        def counted(table, lam, *args, **kwargs):
+        def counted(table, lam):
             calls.append((id(table), lam))
-            return inner(table, lam, *args, **kwargs)
+            return inner(table, lam)
 
         monkeypatch.setattr(sturm_liouville, "_shoot", counted)
         r = sturm_liouville.solve_shooting(problem)
@@ -135,9 +135,9 @@ class TestShootingWork:
         inner = sturm_liouville._shoot
         seen = []
 
-        def tracked(table, lam, *args, **kwargs):
+        def tracked(table, lam):
             seen.append(table[0])
-            return inner(table, lam, *args, **kwargs)
+            return inner(table, lam)
 
         monkeypatch.setattr(sturm_liouville, "_shoot", tracked)
         rng = np.random.default_rng(23)
@@ -442,9 +442,14 @@ class TestPublicApi:
 
 class TestSettableValues:
     # every defaulted parameter of the functions in each module's __all__,
-    # with its default, and the defaulted fields of the input dataclasses:
-    # a new library knob is a visible change here
+    # with its default, and every field of the input dataclasses in order:
+    # a new library knob, defaulted or not, is a visible change here
     INPUTS = (CurvatureParams, SLProblem, SurfaceProfile)
+    FIELDS = {
+        CurvatureParams: ["m", "kappa1", "kappa2"],
+        SLProblem: ["length", "weight", "power", "name", "order"],
+        SurfaceProfile: ["f", "df", "d2f", "length", "name"],
+    }
     DEFAULTS = {
         "bounds.kahler_neumann_bound": {"n": 2000},
         "bounds.kahler_dirichlet_bound": {"n": 2000},
@@ -455,13 +460,12 @@ class TestSettableValues:
         "bounds.monotonicity_scan": {"n": 2000},
         "cli.main": {"argv": None},
         "coefficients.weight_radius": {"lam": 0.0},
-        "heatflow.heatflow_1d": {"n": 192, "fit_target": None, "records": 400},
+        "heatflow.heatflow_1d": {"n": 192, "fit_target": None},
         "heatflow.modulus_envelope_check": {"tol": 1e-6},
         "sturm_liouville.solve_fd": {"n": 2000},
         "sturm_liouville.neumann_first_nonzero_direct": {"n": 2000},
         "sturm_liouville.eigen_limit": {"extra_terms": 3},
         "suites.run_suite": {"seed": 20240817, "grid": 2000},
-        "surfaces.surface_eigen": {"modes": 3, "n": 512},
         "surfaces.comparison_check": {"grid": 2000},
         "coefficients.CurvatureParams": {"kappa2": 0.0},
         "sturm_liouville.SLProblem": {"power": 0, "name": "", "order": 0},
@@ -489,3 +493,7 @@ class TestSettableValues:
             if defaults:
                 found[f"{obj.__module__.removeprefix('eigenbounds.')}.{obj.__name__}"] = defaults
         assert found == self.DEFAULTS
+
+    def test_input_fields_are_pinned(self):
+        found = {cls: [f.name for f in dataclasses.fields(cls)] for cls in self.INPUTS}
+        assert found == self.FIELDS

@@ -12,6 +12,7 @@ from eigenbounds.heatflow import (
     FIT_RESIDUAL_MAX,
     LINEAR,
     MAX_FLOW_NODES,
+    RECORDS,
     FlowResult,
     heatflow_1d,
     modulus_envelope_check,
@@ -80,28 +81,15 @@ class TestFailureModes:
             heatflow_1d(None, LINEAR, 0.5, _sign_like, -1.0)
         with pytest.raises(DomainError):
             heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=8)
-        with pytest.raises(DomainError):
-            heatflow_1d(None, LINEAR, 0.5, np.zeros(7), 1.0, n=32)
+        with pytest.raises(DomainError, match="must have 32 values"):
+            heatflow_1d(None, LINEAR, 0.5, lambda x: np.zeros(7), 1.0, n=32)
         with pytest.raises(DomainError):
             heatflow_1d(None, LINEAR, 0.5, _sign_like, 1.0, n=MAX_FLOW_NODES + 1)
         with pytest.raises(DomainError, match="the only flow profile is LINEAR, got 'mcf'"):
             heatflow_1d(None, "mcf", 0.5, _sign_like, 1.0)
 
-    @pytest.mark.parametrize("records", [0, -3, 2.5, "400"])
-    def test_records_must_be_a_positive_int(self, records):
-        with pytest.raises(DomainError):
-            heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records)
 
-    @pytest.mark.parametrize("records", [1, 2, 3])
-    def test_fit_window_needs_three_records(self, records):
-        # records=1 and 2 used to fit one point with a zero residual
-        with pytest.raises(DomainError):
-            heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records, fit_target=PI**2)
-        r = heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.1, n=32, records=records)
-        assert r.fit is None and r.states.shape == (records + 1, 32)
-
-
-def _euler_reference(drift, ell, u0, T, n, records):
+def _euler_reference(drift, ell, u0, T, n):
     """Plain explicit Euler loop for the linear flow, one step at a time."""
     h = 2.0 * ell / n
     xs = -ell + (np.arange(n) + 0.5) * h
@@ -110,7 +98,7 @@ def _euler_reference(drift, ell, u0, T, n, records):
     dt = CFL_SAFETY * (h * h) / 2.0
     if np.any(tau):
         dt = min(dt, CFL_SAFETY * h / float(np.max(np.abs(tau))))
-    times = np.linspace(0.0, T, records + 1)
+    times = np.linspace(0.0, T, RECORDS + 1)
     states = [u]
     t = 0.0
     for t_goal in times[1:]:
@@ -142,16 +130,16 @@ class TestPropagator:
         ids=["flat", "kappa2_drift"],
     )
     def test_matches_euler_loop(self, drift, ell, u0, T):
-        n, records = 64, 60
-        r = heatflow_1d(drift, LINEAR, ell, u0, T, n=n, fit_target=1.0, records=records)
-        states, rate, dt = _euler_reference(drift, ell, u0, T, n, records)
+        n = 64
+        r = heatflow_1d(drift, LINEAR, ell, u0, T, n=n, fit_target=1.0)
+        states, rate, dt = _euler_reference(drift, ell, u0, T, n)
         scale = float(np.max(np.abs(states[0])))
         assert np.max(np.abs(r.states - states)) <= 1e-12 * scale
         assert abs(r.fit.fitted_rate - rate) <= 1e-10 * abs(rate)
         # the benchmark counts node records from the state array
-        assert r.states.size == (records + 1) * n
+        assert r.states.size == (RECORDS + 1) * n
         assert r.dt == dt
-        assert r.steps == records * math.ceil(T / records / dt)
+        assert r.steps == RECORDS * math.ceil(T / RECORDS / dt)
 
 
 def _envelope_constant(C, lam):
@@ -258,7 +246,7 @@ class TestOffsetSweep:
     @pytest.mark.parametrize("name", sorted(_SWEEP_DATA))
     def test_bit_identical_to_pairs_on_dyadic_grid(self, name, n):
         # h = 1/64 and 1/128: every pair distance is exactly its offset's
-        flow = heatflow_1d(None, LINEAR, 0.5, _SWEEP_DATA[name], 0.5, n=n, records=50)
+        flow = heatflow_1d(None, LINEAR, 0.5, _SWEEP_DATA[name], 0.5, n=n)
         env = _envelope_constant(_calibrate(flow), PI**2)
         rep = modulus_envelope_check(flow, env)
         assert (rep.max_violation, rep.initial_violation) == _pairwise_violations(flow, env)
@@ -266,7 +254,7 @@ class TestOffsetSweep:
     @pytest.mark.parametrize("name", sorted(_SWEEP_DATA))
     def test_matches_pairs_to_rounding_on_general_grid(self, name):
         # h = 1/150: pair distances at one offset differ in the last ulp
-        flow = heatflow_1d(None, LINEAR, 1.0 / 3.0, _SWEEP_DATA[name], 0.3, n=100, records=40)
+        flow = heatflow_1d(None, LINEAR, 1.0 / 3.0, _SWEEP_DATA[name], 0.3, n=100)
         env = _envelope_constant(_calibrate(flow), PI**2)
         rep = modulus_envelope_check(flow, env)
         max_v, init_v = _pairwise_violations(flow, env)
@@ -301,8 +289,8 @@ class TestOffsetSweep:
             modulus_envelope_check(flow, _envelope_constant(1.0, PI**2))
 
     def test_one_envelope_call_per_record_on_offset_distances(self):
-        n, records = 128, 40
-        flow = heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.5, n=n, records=records)
+        n = 128
+        flow = heatflow_1d(None, LINEAR, 0.5, _sign_like, 0.5, n=n)
         env = _envelope_constant(_calibrate(flow), PI**2)
         sizes = []
 
@@ -313,6 +301,6 @@ class TestOffsetSweep:
         modulus_envelope_check(flow, counted)
         # two hypothesis-grid calls, then one per record on the n - 1
         # offsets rather than the n (n - 1) / 2 pairs
-        assert len(sizes) == len(flow.times) + 2 == records + 3
+        assert len(sizes) == len(flow.times) + 2 == RECORDS + 3
         assert sizes[:2] == [257, 257]
         assert sizes[2:] == [n - 1] * len(flow.times)

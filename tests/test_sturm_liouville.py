@@ -131,7 +131,7 @@ def test_shooting_sign_marks_first_eigenvalue(problem):
     ts, table = shooter.ts, shooter.table
     assert len(ts) - 1 == r.grid_size
     for lam in r.value * np.linspace(0.01, 1.0 - 1e-9, 100):
-        assert _shoot(table, float(lam)) > 0.0
+        assert _shoot(table, float(lam))[0] > 0.0
         assert rk4_reference(problem, ts, float(lam)) > 0.0
     above = r.value * np.linspace(1.0 + 1e-9, 40.0, 400)
     if problem is FLAT:
@@ -139,7 +139,7 @@ def test_shooting_sign_marks_first_eigenvalue(problem):
         assert math.cos(math.sqrt(30.0)) > 0.0
         above = np.append(above, 30.0)
     for lam in above:
-        assert _shoot(table, float(lam)) <= 0.0
+        assert _shoot(table, float(lam))[0] <= 0.0
         assert rk4_reference(problem, ts, float(lam)) <= 0.0
 
 
@@ -160,7 +160,7 @@ def test_banded_kernel_matches_rk4_reference(problem):
         assert np.allclose(np.diff(ts), ts[1], rtol=1e-12)
     w0 = float(rhs[1])
     for lam in r.value * np.geomspace(0.05, 30.0, 20):
-        kernel = _shoot((bands, rhs, 0.0), float(lam))
+        kernel = _shoot((bands, rhs, 0.0), float(lam))[0]
         assert abs(kernel - rk4_reference(problem, ts, float(lam))) <= 1e-12 * w0, lam
 
 
@@ -340,9 +340,9 @@ def test_brent_equals_brentq_on_shooting(result):
     # from the walk's sweeps of the ends, lands on the root
     problem = result().problem
     shooter = _Shooter(problem)
-    lo, hi = _bracket(lambda lam: _shoot(shooter.table, lam), shooter)
+    lo, hi = _bracket(lambda lam: _shoot(shooter.table, lam)[0], shooter)
     root = _brent_against_brentq(
-        lambda lam: _shoot(shooter.table, lam), lo, hi, ROOT_RTOL * lo, ROOT_RTOL
+        lambda lam: _shoot(shooter.table, lam)[0], lo, hi, ROOT_RTOL * lo, ROOT_RTOL
     )
     assert solve_shooting(problem).value == _unscaled(root, shooter.e)
 
@@ -402,8 +402,8 @@ def test_shooting_function_is_a_python_float(problem):
     # so _brent runs in Python float arithmetic, where a zero divisor raises
     table = _Shooter(problem).table
     assert type(table[2]) is float
-    s, phi_end = _shoot(table, 1.0, end=True)
-    assert type(_shoot(table, 1.0)) is float and type(s) is float and type(phi_end) is float
+    s, phi_end = _shoot(table, 1.0)
+    assert type(s) is float and type(phi_end) is float
 
 
 def test_brent_failures_are_solver_errors():
@@ -475,10 +475,10 @@ def test_end_mass_sign_marks_first_eigenvalue():
     k1 = brentq(lambda k: math.cos(k) - mass * k * math.sin(k), 0.1, math.pi / 2)
     k2 = brentq(lambda k: math.cos(k) - mass * k * math.sin(k), math.pi, 1.5 * math.pi)
     for lam in k1 * k1 * np.linspace(0.01, 1.0 - 1e-9, 50):
-        assert _shoot(table, float(lam)) > 0.0
+        assert _shoot(table, float(lam))[0] > 0.0
     window = np.linspace(k2 + 1e-6, 1.5 * math.pi - 1e-6, 50) ** 2
     for lam in np.concatenate([k1 * k1 * np.linspace(1.0 + 1e-9, 40.0, 400), window]):
-        assert _shoot(table, float(lam)) <= 0.0
+        assert _shoot(table, float(lam))[0] <= 0.0
 
 
 def test_shooting_rejects_bad_input():
