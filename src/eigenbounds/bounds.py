@@ -118,10 +118,12 @@ def _solve_pair(weight_fn, ell, power, tag, name, validity, order, n):
     `sturm_liouville._cut`), finite differences solve up to ell with no
     mass there.  `power`, the summed power of the weight's non-constant
     factors, sizes the shooting mesh (see `sturm_liouville._Shooter`).
+    Finite differences start from the shooting eigenfunction (see
+    `sturm_liouville.solve_fd`).
     """
     problem = SLProblem(length=ell, weight=weight_fn, power=power, name=name, order=order)
     shoot = solve_shooting(problem)
-    fd = solve_fd(problem, n=n)
+    fd = solve_fd(problem, n=n, start=shoot)
     agreement = abs(shoot.value - fd.value) / max(abs(shoot.value), abs(fd.value))
     return BoundResult(
         value=shoot.value,

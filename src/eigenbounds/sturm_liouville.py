@@ -19,8 +19,9 @@ Two independent routes to the same eigenvalues:
     on it finds the first eigenvalue from sums of positive terms; it keeps
     relative accuracy on fine grids and for tiny eigenvalues.  The weight
     is sampled once, on the 2n grid's half-cell lattice, and the n grid
-    reads every other sample; the 2n grid starts from the n grid's iterate
-    (see _fd).
+    reads every other sample.  Given solve_shooting's result, the n grid
+    starts from its eigenfunction, and the 2n grid starts from the n grid's
+    iterate (see _fd).
 
 Both solve the mixed problem phi(0)=0, phi'(ell)=0 on a half interval and
 return eigenvalues only; where the weight vanishes at ell (SLProblem.order,
@@ -180,8 +181,9 @@ class SLProblem:
 class EigenResult:
     """A computed eigenvalue with its provenance.  `sweeps` counts the
     S(lam) sweeps solve_shooting's memo ran, or for the FD solvers the
-    power iterations over both grids.  `cut_error`: see
-    solve_shooting."""
+    power iterations over both grids.  `cut_error` and `eigenfunction`, the
+    pair (t, phi) of mesh nodes and eigenfunction values that solve_fd can
+    start from: see solve_shooting; None from the FD solvers."""
 
     value: float
     method: str
@@ -189,6 +191,7 @@ class EigenResult:
     grid_size: int
     sweeps: int
     cut_error: float | None = None
+    eigenfunction: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +296,10 @@ def _shoot(table, lam):
     (bands, rhs, mass) from _Shooter: the band of _step_bands, the right
     side (phi_0, u_0) = (0, w(0)) with zeros after it, and the end mass of
     a cut (see _cut; 0.0 without one), a float.  Forward substitution in
-    dtbtrs is the RK4 recurrence.  Returns (S(lam), phi(b)) at the last
-    node b, S(lam) = u(b) - lam*mass*phi(b), or -w(0) past the first
-    eigenvalue (see below), so S(lam) > 0 exactly when lam lies below it.
+    dtbtrs is the RK4 recurrence.  Returns (S(lam), phi) with phi at the
+    nodes and, at the last node b, S(lam) = u(b) - lam*mass*phi(b), or -w(0)
+    past the first eigenvalue (see below), so S(lam) > 0 exactly when lam
+    lies below it.
     """
     bands, rhs, mass = table
     # B0 + lam*(B1 + lam*B2), formed in place
@@ -315,7 +319,7 @@ def _shoot(table, lam):
         s = -float(rhs[1])
     elif not math.isfinite(s):
         raise StabilityFailure(OVERFLOW_MESSAGE)
-    return s, float(phi[-1])
+    return s, phi
 
 
 def _cut(order):
@@ -347,7 +351,8 @@ class _Shooter:
     from that mesh's first cell and built again where it asks for more (a
     Dirichlet model weight starts like exp(-lam' P t)).  With `order` p > 0
     the mesh ends at the cut, graded into a layer eps, with at least 4,000
-    steps, and P is at least p.  `steps` is the uniform count.
+    steps, and P is at least p.  `steps` is the uniform count, and
+    `w_nodes` the weight at the nodes `ts`.
     """
 
     def __init__(self, problem: SLProblem):
@@ -369,7 +374,7 @@ class _Shooter:
             more = min(40000, int(600.0 * slope))
             if more > steps:
                 return self.build(more)
-        self.steps = steps
+        self.steps, self.w_nodes = steps, w_nodes
         ts = self.ts = ts[: len(w_nodes)]
         rhs = np.zeros(2 * len(ts))
         rhs[1] = w_nodes[0]
@@ -485,13 +490,28 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     Where the weight underflows short of the cut (see _weight_tables),
     cut_error is only the error of the end mass at the last kept node, not
     of the dropped tail, whose weight is below 8 times the smallest normal float.
+
+    `eigenfunction` is (t, phi) at the mesh nodes, in the problem's units,
+    from the root's sweep.  The memo keeps one phi, that of the sweep with
+    the smallest |S| so far, which is usually the root Brent returns; where
+    it is not, the root is swept once more, outside the memo and `sweeps`.
+    Past the last node where w >= eps max(w), eps the float epsilon, phi is
+    held at its value there: at the root's residual, phi carries a share of
+    about residual * int 1/w of the second solution, which can dominate
+    where w is that small (unheld, phi reaches 5e284 on the m = 50 Kahler
+    weight at a diameter a relative 1e-6 short of its cap).
     """
     shooter = _Shooter(problem)
     svals = {}  # lam: (S(lam), phi(b)) on the shooter's table
+    kept = (None, math.inf, None)  # (lam, |S(lam)|, phi) of the sweep nearest a root
 
     def S(lam):
+        nonlocal kept
         if lam not in svals:
-            svals[lam] = _shoot(shooter.table, lam)
+            s, phi = _shoot(shooter.table, lam)
+            svals[lam] = s, float(phi[-1])
+            if abs(s) < kept[1]:
+                kept = lam, abs(s), phi
         return svals[lam][0]
 
     lo, hi = _bracket(S, shooter)
@@ -500,6 +520,7 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     if steps > shooter.steps:
         sweeps = len(svals)
         svals.clear()
+        kept = (None, math.inf, None)
         shooter.build(steps)
         lo, hi = _bracket(S, shooter)
     lam = _brent(S, lo, hi, ROOT_RTOL * lo, ROOT_RTOL)
@@ -523,9 +544,14 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
         near = max((v for v in svals if v <= lam * (1 - 1e-8) and S(v) > 0.0), default=lo)
         slope = (S(near) - S(lam)) / (lam - near)
         cut_error = math.ldexp(rel * lam * mass * abs(svals[lam][1]) / slope, -2 * shooter.e)
+    phi = kept[2] if kept[0] == lam else _shoot(shooter.table, lam)[1]
+    w = shooter.w_nodes
+    held = np.flatnonzero(w >= np.finfo(float).eps * w.max())[-1]
+    phi[held + 1 :] = phi[held]
     return EigenResult(
         value=value, method="shooting", residual=resid, grid_size=len(ts) - 1,
         sweeps=sweeps + len(svals), cut_error=cut_error,
+        eigenfunction=(np.ldexp(ts, shooter.e), np.ldexp(phi, shooter.e)),
     )
 
 
@@ -541,10 +567,12 @@ def _green_first(samples, lo, hi, free=False, start=None):
     `samples` holds the weight along a grid of len(samples) // 2 cells (see
     _fd): with `free` half the weight at lo, then the face and inner node
     weights in turn, face 0 first, then half the weight at hi.  `start` is a
-    positive (with `free`, increasing) vector at the cells + 1 nodes; by
+    vector at the cells + 1 nodes, increasing with `free` and otherwise
+    finite and positive on the kept nodes after lo, or a SolverError; by
     default ones, or with `free` the ramp t.  The iteration runs in it, and
     it is returned, set to the first and last kept values outside the kept
-    nodes and to 0 at a fixed lo.
+    nodes and to 0 at a fixed lo.  From any such start the quotient falls
+    in exact arithmetic, which the stop rule relies on.
 
     Node-based centered scheme: face weights sit at the cell midpoints, and
     a Neumann end node carries half a cell of mass weighted by the weight
@@ -582,6 +610,9 @@ def _green_first(samples, lo, hi, free=False, start=None):
         start = np.linspace(lo, hi, cells + 1) if free else np.ones(cells + 1)
     first = lead // 2 if free else 1
     x = start[first : first + mass.size]
+    # nan fails both comparisons
+    if not (free or (x.min() > 0.0 and x.max() < math.inf)):
+        raise SolverError("finite-difference start is not finite and positive on the grid")
     lam = math.inf
     # a weight that overflows, or a subnormal face under a finite flux, is a
     # solver failure, not a numpy warning
@@ -640,7 +671,7 @@ def _richardson(lam_n, lam_2n, n, sweeps):
     )
 
 
-def _fd(weight, lo, hi, n, free=False, order=0):
+def _fd(weight, lo, hi, n, free=False, order=0, start=None):
     """_green_first at n and 2n cells, Richardson-extrapolated; `sweeps` counts
     the power iterations over both grids.
 
@@ -648,10 +679,13 @@ def _fd(weight, lo, hi, n, free=False, order=0):
     k = 1 ... 4n - 1, with the end mass w(hi)/2 (with `free` also w(lo)/2
     first).  With `order` > 0 the weight vanishes at hi and the end mass is 0:
     the model weights refuse to evaluate at a cap.  The n grid's samples are
-    every other one of these, so it reads a view of the same table.  The 2n
-    grid starts from the n grid's iterate, linearly interpolated, which is
-    positive, and increasing with `free`.  With `free` the weight must be
-    even, checked on the lattice.
+    every other one of these, so it reads a view of the same table.  The n
+    grid starts cold (see _green_first) or, given `start`, a pair (t, phi)
+    of nodes and eigenfunction values on [lo, hi] (solve_shooting's
+    `eigenfunction`), from phi linearly interpolated onto its nodes and held
+    at the end values past t's ends.  The 2n grid starts from the n grid's
+    iterate, linearly interpolated, which is positive, and increasing with
+    `free`.  With `free` the weight must be even, checked on the lattice.
     """
     if n < 16:
         raise DomainError("n must be at least 16")
@@ -668,7 +702,9 @@ def _fd(weight, lo, hi, n, free=False, order=0):
         # before either solve; a weight negative somewhere gets _green_first's message
         if np.all(fine >= 0.0) and np.abs(fine - fine[::-1]).max() > 1e-8 * fine.max():
             raise DomainError("weight is not even on the interval")
-    lam_n, it_n, x = _green_first(fine[1 - f :: 2], lo, hi, free)
+    if start is not None:
+        start = np.interp(np.linspace(lo, hi, n + 1), *start)
+    lam_n, it_n, x = _green_first(fine[1 - f :: 2], lo, hi, free, start)
     start = np.empty(2 * n + 1)
     start[0::2] = x
     start[1::2] = 0.5 * (x[:-1] + x[1:])
@@ -676,10 +712,14 @@ def _fd(weight, lo, hi, n, free=False, order=0):
     return _richardson(lam_n, lam_2n, n, it_n + it_2n)
 
 
-def solve_fd(problem: SLProblem, n: int = 2000) -> EigenResult:
+def solve_fd(problem: SLProblem, n: int = 2000, start: EigenResult | None = None) -> EigenResult:
     """First eigenvalue of the mixed problem by finite differences (see
-    _green_first and _fd)."""
-    return _fd(problem.weight, 0.0, problem.length, n, order=problem.order)
+    _green_first and _fd).  `start`, solve_shooting's result on the same
+    problem, starts the n grid's power iteration from its eigenfunction;
+    the value is the converged first eigenvalue of the same pencil under the
+    same stop rule, so it moves only at that rule's floor, a few 1e-15."""
+    phi = None if start is None else start.eigenfunction
+    return _fd(problem.weight, 0.0, problem.length, n, order=problem.order, start=phi)
 
 
 def neumann_first_nonzero_direct(weight, half_length: float, n: int = 2000) -> EigenResult:

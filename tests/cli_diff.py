@@ -1,6 +1,6 @@
 """Run a fixed grid of CLI commands in process and write one JSON line each.
 
-    python tests/cli_diff.py --src SRC_DIR --out FILE.jsonl
+    python tests/cli_diff.py --src SRC_DIR --out FILE.jsonl [--against PARENT.jsonl]
 
 Imports `eigenbounds` from SRC_DIR (by default the `src` next to this
 file), runs every command of the grid through `cli.main`, and writes for
@@ -20,10 +20,19 @@ names, so moved source lines do not show as a difference.  An exception
 that escapes `cli.main` is recorded by its type and message; it is a
 traceback at the command line.  This file is not a test module; pytest does
 not collect it.
+
+With --against, the output just written is compared with an earlier file of
+the same grid, for a change that moves values only at rounding level.  It
+prints the number of byte-identical commands, every command whose exit code,
+stderr or warnings differ or whose output changed other than in its numbers,
+and for each field of the output (a JSON key, or a CSV column) how many
+values moved and the largest relative move.  It exits 1 if any command is
+listed.
 """
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -186,22 +195,107 @@ def run(argv, main):
     return code, out.getvalue(), err.getvalue(), seen
 
 
+def _leaves(stdout):
+    """(field, value) pairs of a command's output, in order: the scalars of a
+    JSON document under their innermost key, or the cells of CSV rows under
+    their column."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(stdout)))
+        return [(col, _number(cell)) for row in rows[1:] for col, cell in zip(rows[0], row)]
+    leaves = []
+
+    def walk(node, key):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+        else:
+            leaves.append((key, node))
+
+    walk(doc, None)
+    return leaves
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def summarize(parent, change):
+    """Print how the records `change` differ from `parent`; returns the
+    number of commands listed as differing beyond their numbers."""
+    if [r["argv"] for r in parent] != [r["argv"] for r in change]:
+        raise SystemExit("the two files do not hold the same grid of commands")
+    identical = 0
+    listed = []
+    # field: [values moved, largest relative move, largest |value| before, after]
+    fields = {}
+    for old, new in zip(parent, change):
+        identical += old == new
+        if any(old[k] != new[k] for k in ("exit", "stderr", "warnings")):
+            listed.append(("exit code, stderr or warnings", new["argv"]))
+            continue
+        a, b = _leaves(old["stdout"]), _leaves(new["stdout"])
+        if [k for k, _ in a] != [k for k, _ in b]:
+            listed.append(("output fields", new["argv"]))
+            continue
+        for (key, x), (_, y) in zip(a, b):
+            if not (_is_number(x) and _is_number(y)):
+                if x != y:
+                    listed.append((f"non-numeric {key}", new["argv"]))
+                    break
+                continue
+            stat = fields.setdefault(key, [0, 0.0, 0.0, 0.0])
+            stat[2], stat[3] = max(stat[2], abs(x)), max(stat[3], abs(y))
+            if x != y:
+                scale = max(abs(x), abs(y))
+                stat[0] += 1
+                stat[1] = max(stat[1], abs(x - y) / scale if math.isfinite(scale) else math.inf)
+    print(f"{identical} of {len(change)} commands byte-identical")
+    print(f"{len(listed)} commands differ beyond their numbers")
+    for what, argv in listed:
+        print(f"  {what}: {' '.join(argv)}")
+    print("numeric field: values moved, largest relative move, largest |value| before -> after")
+    for key in sorted(fields, key=str):
+        moved, rel, before, after = fields[key]
+        print(f"  {key}: {moved}, {rel:.3g}, {before:.3g} -> {after:.3g}")
+    return len(listed)
+
+
 def main():
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"), help="source tree to import")
     ap.add_argument("--out", required=True, help="JSON-lines file to write")
+    ap.add_argument("--against", help="an earlier output of this grid to summarize the change against")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from eigenbounds import cli
 
     grid = commands()
+    records = []
     with open(args.out, "w") as f:
         for argv in grid:
             code, out, err, seen = run(argv, cli.main)
             record = {"argv": argv, "exit": code, "stdout": out, "stderr": err, "warnings": seen}
-            f.write(json.dumps(record) + "\n")
+            line = json.dumps(record)
+            f.write(line + "\n")
+            records.append(json.loads(line))
     print(f"{len(grid)} commands written to {args.out}", file=sys.stderr)
+    if args.against:
+        with open(args.against) as f:
+            parent = [json.loads(line) for line in f]
+        sys.exit(1 if summarize(parent, records) else 0)
 
 
 if __name__ == "__main__":

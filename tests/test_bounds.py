@@ -126,6 +126,26 @@ class TestShootingWork:
         r = sturm_liouville.solve_shooting(problem)
         assert r.sweeps == len(calls) == len(set(calls)) == sweeps
 
+    def test_fd_starts_from_the_shooting_result(self, monkeypatch):
+        # through the module names the benchmark's tracer wraps
+        from eigenbounds import bounds
+
+        seen = {}
+        shoot, fd = bounds.solve_shooting, bounds.solve_fd
+
+        def shooting(problem):
+            seen["shoot"] = shoot(problem)
+            return seen["shoot"]
+
+        def finite_differences(problem, n, start):
+            seen["start"] = start
+            return fd(problem, n, start)
+
+        monkeypatch.setattr(bounds, "solve_shooting", shooting)
+        monkeypatch.setattr(bounds, "solve_fd", finite_differences)
+        kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.25), 2.0)
+        assert seen["start"] is seen["shoot"] and seen["shoot"].eigenfunction is not None
+
     def test_seeded_draws_never_size_a_second_table(self, monkeypatch):
         # tripwire: a solve builds its table again only where 60 steps per
         # radian of the bracket's phase exceed the mesh floors, which no
@@ -462,7 +482,7 @@ class TestSettableValues:
         "coefficients.weight_radius": {"lam": 0.0},
         "heatflow.heatflow_1d": {"n": 192, "fit_target": None},
         "heatflow.modulus_envelope_check": {"tol": 1e-6},
-        "sturm_liouville.solve_fd": {"n": 2000},
+        "sturm_liouville.solve_fd": {"n": 2000, "start": None},
         "sturm_liouville.neumann_first_nonzero_direct": {"n": 2000},
         "sturm_liouville.eigen_limit": {"extra_terms": 3},
         "suites.run_suite": {"seed": 20240817, "grid": 2000},

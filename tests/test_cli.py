@@ -614,3 +614,31 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
         assert rec["results"]["value"] == pytest.approx(math.pi**2, rel=1e-9)
+
+
+class TestCliDiffSummary:
+    def test_summary_counts_moved_values_and_lists_other_changes(self, capsys):
+        import cli_diff
+
+        def rec(argv, stdout, code=0, stderr=""):
+            return {"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr, "warnings": []}
+
+        parent = [
+            rec(["a"], json.dumps({"results": {"value": 2.0, "fd_value": 1.0}})),
+            rec(["b"], "family,fd_value\nx,4.0\n"),
+            rec(["c"], "", 1, "no bracket\n"),
+            rec(["d"], json.dumps({"ok": True})),
+        ]
+        change = [
+            parent[0],
+            rec(["b"], "family,fd_value\nx,4.000000000000001\n"),
+            rec(["c"], "", 1, "not finite\n"),
+            rec(["d"], json.dumps({"ok": False})),
+        ]
+        assert cli_diff.summarize(parent, change) == 2
+        out = capsys.readouterr().out
+        assert "1 of 4 commands byte-identical" in out
+        assert "  exit code, stderr or warnings: c\n" in out and "  non-numeric ok: d\n" in out
+        assert "  fd_value: 1, 2.22e-16, 4 -> 4\n" in out and "  value: 0, 0, 2 -> 2\n" in out
+        with pytest.raises(SystemExit):
+            cli_diff.summarize(parent, change[:3])

@@ -13,7 +13,12 @@ from scipy.optimize import brentq
 from identities import ZeroDenominator, rayleigh_quotient
 
 from eigenbounds import sturm_liouville
-from eigenbounds.bounds import kahler_dirichlet_bound, kahler_neumann_bound
+from eigenbounds.bounds import (
+    kahler_dirichlet_bound,
+    kahler_neumann_bound,
+    riemannian_dirichlet_bound,
+    riemannian_neumann_bound,
+)
 from eigenbounds.coefficients import CurvatureParams, weight_kahler, weight_riemannian
 from eigenbounds.errors import DomainError, NoBracketFound, SolverError, StabilityFailure
 from eigenbounds.sturm_liouville import (
@@ -22,6 +27,7 @@ from eigenbounds.sturm_liouville import (
     _bracket,
     _brent,
     _build_mesh,
+    _green_first,
     _shoot,
     _Shooter,
     _step_bands,
@@ -400,10 +406,10 @@ def test_phase_of_the_bracket_sizes_a_second_table(monkeypatch, a, t0, value, st
 @pytest.mark.parametrize("problem", [FLAT, SHARP], ids=["regular", "cut"])
 def test_shooting_function_is_a_python_float(problem):
     # so _brent runs in Python float arithmetic, where a zero divisor raises
-    table = _Shooter(problem).table
-    assert type(table[2]) is float
-    s, phi_end = _shoot(table, 1.0)
-    assert type(s) is float and type(phi_end) is float
+    shooter = _Shooter(problem)
+    assert type(shooter.table[2]) is float
+    s, phi = _shoot(shooter.table, 1.0)
+    assert type(s) is float and phi.shape == shooter.ts.shape
 
 
 def test_brent_failures_are_solver_errors():
@@ -792,6 +798,120 @@ def test_warm_fine_grid_matches_cold_grids(monkeypatch, weight, ell, most):
         assert r.value == pytest.approx((4.0 * lam_2n - lam_n) / 3.0, rel=1e-13, abs=0.0)
         assert r.residual == pytest.approx(abs(lam_n - lam_2n) / 3.0, rel=1e-6)
         assert len(seen) == 2 and seen[1] <= fine_most < it_2n
+
+
+# problems whose FD side starts from the shooting eigenfunction in a bound:
+# the regular baseline, a Dirichlet weight steep enough at 0 that the
+# shooting mesh is built again at the start slope's count, the kappa1 and
+# kappa2 cuts, and weights that underflow short of the cap, where the kept
+# phi is held (see solve_shooting)
+WARM_PANEL = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.25), 2.0),
+        lambda: riemannian_dirichlet_bound(20, 0.0, 2.0, 0.4),
+        lambda: kahler_neumann_bound(CurvatureParams(m=2, kappa1=1.0), math.pi / 2),
+        lambda: kahler_neumann_bound(CurvatureParams(m=5, kappa1=0.0, kappa2=1.0), math.pi),
+        lambda: kahler_neumann_bound(CurvatureParams(m=50, kappa1=0.0, kappa2=1.0), (1 - 1e-6) * math.pi),
+        lambda: kahler_neumann_bound(CurvatureParams(m=50, kappa1=0.0, kappa2=1.0), (1 - 1e-9) * math.pi),
+        lambda: riemannian_neumann_bound(2000, 1.0, 0.99 * math.pi),
+    ],
+    ids=["regular_baseline", "dirichlet_slope", "k1_cut", "k2_cut", "m50-1e-6", "m50-1e-9",
+         "n2000-0.99"],
+)
+
+
+@WARM_PANEL
+def test_warm_fd_matches_cold(make):
+    # the start moves only the iterate the stop rule stops on, at its floor
+    problem = make().problem
+    shoot = solve_shooting(problem)
+    for n in (500, 2000, 8000):
+        cold, warm = solve_fd(problem, n), solve_fd(problem, n, start=shoot)
+        assert warm.value == pytest.approx(cold.value, rel=2e-14, abs=0.0)
+        assert warm.sweeps < cold.sweeps
+
+
+def test_warm_fd_saves_iterations_on_the_baseline():
+    problem = kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.25), 2.0).problem
+    assert solve_fd(problem).sweeps == 12
+    assert solve_fd(problem, start=solve_shooting(problem)).sweeps <= 6
+
+
+def test_dirichlet_panel_problem_takes_the_slope_rebuild():
+    # so WARM_PANEL's Dirichlet row covers a mesh built twice
+    problem = riemannian_dirichlet_bound(20, 0.0, 2.0, 0.4).problem
+    assert _Shooter(problem).steps > 2000
+
+
+def _root_phi(problem, value):
+    """phi of one sweep at the root, held as solve_shooting holds it, in
+    problem units."""
+    shooter = _Shooter(problem)
+    _, phi = _shoot(shooter.table, math.ldexp(value, 2 * shooter.e))
+    w = shooter.w_nodes
+    held = np.flatnonzero(w >= np.finfo(float).eps * w.max())[-1]
+    phi[held + 1 :] = phi[held]
+    return np.ldexp(shooter.ts, shooter.e), np.ldexp(phi, shooter.e)
+
+
+@WARM_PANEL
+def test_eigenfunction_is_the_root_sweep_held(make):
+    problem = make().problem
+    r = solve_shooting(problem)
+    t, phi = r.eigenfunction
+    t_ref, phi_ref = _root_phi(problem, r.value)
+    assert np.array_equal(t, t_ref) and np.array_equal(phi, phi_ref)
+    assert t[0] == 0.0 and phi[0] == 0.0 and np.all(phi[1:] > 0.0) and np.all(np.isfinite(phi))
+
+
+def test_eigenfunction_sweeps_the_root_again_when_not_kept(monkeypatch):
+    # a later sweep with a smaller |S| than the root's displaces the kept
+    # phi; the root is then swept once more, outside the memo and `sweeps`
+    inner_shoot, inner_brent = sturm_liouville._shoot, sturm_liouville._brent
+    decoy = []
+
+    def shoot(table, lam):
+        s, phi = inner_shoot(table, lam)
+        return (0.0, np.full_like(phi, 7.0)) if lam in decoy else (s, phi)
+
+    def brent(f, *args):
+        root = inner_brent(f, *args)
+        decoy.append(root * (1.0 + 1e-9))
+        f(decoy[0])
+        return root
+
+    problem = kahler_neumann_bound(CurvatureParams(m=2, kappa1=0.25), 2.0).problem
+    plain = solve_shooting(problem)
+    monkeypatch.setattr(sturm_liouville, "_shoot", shoot)
+    monkeypatch.setattr(sturm_liouville, "_brent", brent)
+    r = solve_shooting(problem)
+    assert r.value == plain.value and r.sweeps == plain.sweeps + 1
+    assert np.array_equal(r.eigenfunction[1], plain.eigenfunction[1])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_green_first_refuses_a_start_not_finite_and_positive(bad):
+    # a start that is not finite and positive on the kept nodes would break
+    # the falling quotient that the stop rule relies on
+    samples = np.ones(2 * 64)
+    start = np.ones(65)
+    start[40] = bad
+    with pytest.raises(SolverError, match="start is not finite and positive"):
+        _green_first(samples, 0.0, 1.0, start=start)
+    # node 0 is fixed at 0, and nodes past an underflowed tail are not kept
+    start = np.ones(65)
+    start[0] = bad
+    samples[100:] = 0.0
+    start[52:] = bad
+    assert _green_first(samples, 0.0, 1.0, start=start)[0] > 0.0
+
+
+def test_fd_start_without_eigenfunction_is_cold():
+    # an FD result has no eigenfunction: the n grid starts cold
+    r = solve_fd(FLAT)
+    assert r.eigenfunction is None
+    assert solve_fd(FLAT, start=r).sweeps == r.sweeps
 
 
 def test_fd_iteration_cap_is_a_solver_error(monkeypatch):
