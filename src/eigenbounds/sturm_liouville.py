@@ -179,11 +179,11 @@ class SLProblem:
 
 @dataclass
 class EigenResult:
-    """A computed eigenvalue with its provenance.  `sweeps` counts the
-    S(lam) sweeps solve_shooting's memo ran, or for the FD solvers the
-    power iterations over both grids.  `cut_error` and `eigenfunction`, the
-    pair (t, phi) of mesh nodes and eigenfunction values that solve_fd can
-    start from: see solve_shooting; None from the FD solvers."""
+    """A computed eigenvalue with its provenance.  `sweeps` counts every
+    S(lam) sweep of solve_shooting, or for the FD solvers the power
+    iterations over both grids.  `cut_error` and `eigenfunction`, the pair
+    (t, phi) of mesh nodes and eigenfunction values that solve_fd can start
+    from: see solve_shooting; None from the FD solvers."""
 
     value: float
     method: str
@@ -492,26 +492,19 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     of the dropped tail, whose weight is below 8 times the smallest normal float.
 
     `eigenfunction` is (t, phi) at the mesh nodes, in the problem's units,
-    from the root's sweep.  The memo keeps one phi, that of the sweep with
-    the smallest |S| so far, which is usually the root Brent returns; where
-    it is not, the root is swept once more, outside the memo and `sweeps`.
-    Past the last node where w >= eps max(w), eps the float epsilon, phi is
-    held at its value there: at the root's residual, phi carries a share of
-    about residual * int 1/w of the second solution, which can dominate
-    where w is that small (unheld, phi reaches 5e284 on the m = 50 Kahler
-    weight at a diameter a relative 1e-6 short of its cap).
+    from the root's sweep, which the memo holds with every other.  Past the
+    last node where w >= eps max(w), eps the float epsilon, phi is held at
+    its value there: at the root's residual, phi carries a share of about
+    residual * int 1/w of the second solution, which can dominate where w
+    is that small (unheld, phi reaches 5e284 on the m = 50 Kahler weight at
+    a diameter a relative 1e-6 short of its cap).
     """
     shooter = _Shooter(problem)
-    svals = {}  # lam: (S(lam), phi(b)) on the shooter's table
-    kept = (None, math.inf, None)  # (lam, |S(lam)|, phi) of the sweep nearest a root
+    svals = {}  # lam: (S(lam), phi) of _shoot on the shooter's table
 
     def S(lam):
-        nonlocal kept
         if lam not in svals:
-            s, phi = _shoot(shooter.table, lam)
-            svals[lam] = s, float(phi[-1])
-            if abs(s) < kept[1]:
-                kept = lam, abs(s), phi
+            svals[lam] = _shoot(shooter.table, lam)
         return svals[lam][0]
 
     lo, hi = _bracket(S, shooter)
@@ -520,7 +513,6 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
     if steps > shooter.steps:
         sweeps = len(svals)
         svals.clear()
-        kept = (None, math.inf, None)
         shooter.build(steps)
         lo, hi = _bracket(S, shooter)
     lam = _brent(S, lo, hi, ROOT_RTOL * lo, ROOT_RTOL)
@@ -543,8 +535,8 @@ def solve_shooting(problem: SLProblem) -> EigenResult:
         rel += lam * eps * eps / ((p + 1.0) * (p + 3.0))
         near = max((v for v in svals if v <= lam * (1 - 1e-8) and S(v) > 0.0), default=lo)
         slope = (S(near) - S(lam)) / (lam - near)
-        cut_error = math.ldexp(rel * lam * mass * abs(svals[lam][1]) / slope, -2 * shooter.e)
-    phi = kept[2] if kept[0] == lam else _shoot(shooter.table, lam)[1]
+        cut_error = math.ldexp(rel * lam * mass * abs(svals[lam][1][-1]) / slope, -2 * shooter.e)
+    phi = svals[lam][1]  # the root's record: S(lam) above ran or read it
     w = shooter.w_nodes
     held = np.flatnonzero(w >= np.finfo(float).eps * w.max())[-1]
     phi[held + 1 :] = phi[held]
@@ -686,6 +678,8 @@ def _fd(weight, lo, hi, n, free=False, order=0, start=None):
     at the end values past t's ends.  The 2n grid starts from the n grid's
     iterate, linearly interpolated, which is positive, and increasing with
     `free`.  With `free` the weight must be even, checked on the lattice.
+    |lam_n - lam_2n| above lam_2n/2, or a Richardson value not finite and
+    positive, cannot be one eigenvalue at two resolutions: a SolverError.
     """
     if n < 16:
         raise DomainError("n must be at least 16")
@@ -709,6 +703,11 @@ def _fd(weight, lo, hi, n, free=False, order=0, start=None):
     start[0::2] = x
     start[1::2] = 0.5 * (x[:-1] + x[1:])
     lam_2n, it_2n, _ = _green_first(fine, lo, hi, free, start)
+    if not (0.0 < 4.0 * lam_2n - lam_n < math.inf and abs(lam_n - lam_2n) <= 0.5 * lam_2n):
+        raise SolverError(
+            f"finite-difference grids give {lam_n!r} at n = {n} and {lam_2n!r} at 2n:"
+            " not one eigenvalue at two resolutions"
+        )
     return _richardson(lam_n, lam_2n, n, it_n + it_2n)
 
 

@@ -213,17 +213,14 @@ def random_convex_profile(rng: np.random.Generator) -> SurfaceProfile:
         def make(amps):
             js = np.arange(2, 2 + len(amps))
 
-            def p(r):
-                r = np.asarray(r, dtype=float)[..., None]
-                return np.sum(amps * np.sin(js * r), axis=-1)
+            def series(r, coef, trig):
+                # one row per term j, summed as (t0 + t1) + t2, as along a last axis
+                rows = (-1,) + (1,) * np.ndim(r)
+                return np.sum(coef.reshape(rows) * trig(js.reshape(rows) * r), axis=0)
 
-            def dp(r):
-                r = np.asarray(r, dtype=float)[..., None]
-                return np.sum(amps * js * np.cos(js * r), axis=-1)
-
-            def d2p(r):
-                r = np.asarray(r, dtype=float)[..., None]
-                return np.sum(-amps * js * js * np.sin(js * r), axis=-1)
+            p = lambda r: series(r, amps, np.sin)
+            dp = lambda r: series(r, amps * js, np.cos)
+            d2p = lambda r: series(r, -amps * js * js, np.sin)
 
             f = lambda r: np.sin(np.asarray(r, dtype=float)) * (1.0 + p(r))
             df = lambda r: (

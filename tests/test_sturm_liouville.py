@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -803,7 +804,7 @@ def test_warm_fine_grid_matches_cold_grids(monkeypatch, weight, ell, most):
 # problems whose FD side starts from the shooting eigenfunction in a bound:
 # the regular baseline, a Dirichlet weight steep enough at 0 that the
 # shooting mesh is built again at the start slope's count, the kappa1 and
-# kappa2 cuts, and weights that underflow short of the cap, where the kept
+# kappa2 cuts, and weights that underflow short of the cap, where the root's
 # phi is held (see solve_shooting)
 WARM_PANEL = pytest.mark.parametrize(
     "make",
@@ -844,34 +845,41 @@ def test_dirichlet_panel_problem_takes_the_slope_rebuild():
     assert _Shooter(problem).steps > 2000
 
 
-def _root_phi(problem, value):
-    """phi of one sweep at the root, held as solve_shooting holds it, in
-    problem units."""
+def _root_phi(problem, value, hold=True):
+    """phi of one sweep at the root, in problem units, held as
+    solve_shooting holds it unless `hold` is False."""
     shooter = _Shooter(problem)
     _, phi = _shoot(shooter.table, math.ldexp(value, 2 * shooter.e))
-    w = shooter.w_nodes
-    held = np.flatnonzero(w >= np.finfo(float).eps * w.max())[-1]
-    phi[held + 1 :] = phi[held]
+    if hold:
+        w = shooter.w_nodes
+        held = np.flatnonzero(w >= np.finfo(float).eps * w.max())[-1]
+        phi[held + 1 :] = phi[held]
     return np.ldexp(shooter.ts, shooter.e), np.ldexp(phi, shooter.e)
 
 
 @WARM_PANEL
-def test_eigenfunction_is_the_root_sweep_held(make):
+def test_eigenfunction_is_the_root_sweep_held(monkeypatch, make):
     problem = make().problem
+    seen = _sweep_tables(monkeypatch)
     r = solve_shooting(problem)
+    # the root's phi comes from the memo: no sweep outside `sweeps`
+    assert r.sweeps == len(seen)
+    monkeypatch.undo()
     t, phi = r.eigenfunction
     t_ref, phi_ref = _root_phi(problem, r.value)
     assert np.array_equal(t, t_ref) and np.array_equal(phi, phi_ref)
     assert t[0] == 0.0 and phi[0] == 0.0 and np.all(phi[1:] > 0.0) and np.all(np.isfinite(phi))
 
 
-def test_eigenfunction_sweeps_the_root_again_when_not_kept(monkeypatch):
-    # a later sweep with a smaller |S| than the root's displaces the kept
-    # phi; the root is then swept once more, outside the memo and `sweeps`
+def test_eigenfunction_is_the_root_sweep_after_a_nearer_one(monkeypatch):
+    # a sweep after Brent's root with a smaller |S| than the root's leaves
+    # the eigenfunction the root's: the memo holds every sweep, and `sweeps`
+    # counts each _shoot call, the decoy's too
     inner_shoot, inner_brent = sturm_liouville._shoot, sturm_liouville._brent
-    decoy = []
+    decoy, calls = [], []
 
     def shoot(table, lam):
+        calls.append(lam)
         s, phi = inner_shoot(table, lam)
         return (0.0, np.full_like(phi, 7.0)) if lam in decoy else (s, phi)
 
@@ -886,8 +894,41 @@ def test_eigenfunction_sweeps_the_root_again_when_not_kept(monkeypatch):
     monkeypatch.setattr(sturm_liouville, "_shoot", shoot)
     monkeypatch.setattr(sturm_liouville, "_brent", brent)
     r = solve_shooting(problem)
-    assert r.value == plain.value and r.sweeps == plain.sweeps + 1
+    assert r.value == plain.value
+    assert r.sweeps == len(calls) == plain.sweeps + 1
     assert np.array_equal(r.eigenfunction[1], plain.eigenfunction[1])
+
+
+def test_fd_refuses_grids_that_are_not_one_eigenvalue():
+    # the unheld root sweep of the m = 50 Kahler weight a relative 1e-6 short
+    # of its cap reaches 5e284 where the weight is below eps max(w); as a
+    # start it drove the n grid to 2.7e23 against the 2n grid's 99, and the
+    # Richardson value to -9.16e22, which no bound may carry
+    problem = kahler_neumann_bound(
+        CurvatureParams(m=50, kappa1=0.0, kappa2=1.0), (1 - 1e-6) * math.pi
+    ).problem
+    r = solve_shooting(problem)
+    unheld = dataclasses.replace(r, eigenfunction=_root_phi(problem, r.value, hold=False))
+    with pytest.raises(SolverError, match="not one eigenvalue at two resolutions"):
+        solve_fd(problem, start=unheld)
+    assert solve_fd(problem, start=r).value == pytest.approx(r.value, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "lam_n, lam_2n",
+    [(3.0, 1.0), (1.0, 2.5), (5e307, 5e307)],
+    ids=["n_grid_far_above", "n_grid_far_below", "richardson_overflows"],
+)
+def test_fd_guard_refuses_grid_pairs(monkeypatch, lam_n, lam_2n):
+    # |lam_n - lam_2n| above lam_2n/2, or a Richardson value that is not
+    # finite and positive, is a SolverError with one line
+    values = iter((lam_n, lam_2n))
+    monkeypatch.setattr(
+        sturm_liouville, "_green_first", lambda samples, *args: (next(values), 1, np.ones(65))
+    )
+    with pytest.raises(SolverError, match="not one eigenvalue at two resolutions") as info:
+        solve_fd(FLAT, n=64)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])

@@ -336,6 +336,37 @@ class TestProfiles:
         b = random_convex_profile(np.random.default_rng(7))
         assert a.name == b.name
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_profile_matches_the_broadcast_series_bit_for_bit(self, seed):
+        # f, f' and f'' of the profile against the sums written out with the
+        # terms along a last axis of length 3, on grids and at scalar r
+        draws = []
+
+        class Recording:
+            def uniform(self, *args, **kwargs):
+                draws.append(rng.uniform(*args, **kwargs))
+                return draws[-1]
+
+        rng = np.random.default_rng(seed)
+        p = random_convex_profile(Recording())
+        amps = draws[-1] * np.array([0.08, 0.04, 0.02])
+        js = np.arange(2, 5)
+
+        def reference(r):
+            r = np.asarray(r, dtype=float)
+            s, c = np.sin(r), np.cos(r)
+            p0 = np.sum(amps * np.sin(js * r[..., None]), axis=-1)
+            p1 = np.sum(amps * js * np.cos(js * r[..., None]), axis=-1)
+            p2 = np.sum(-amps * js * js * np.sin(js * r[..., None]), axis=-1)
+            return s * (1.0 + p0), c * (1.0 + p0) + s * p1, -s * (1.0 + p0) + 2.0 * c * p1 + s * p2
+
+        grids = [np.linspace(0.0, PI, n) for n in (4095, 1025, 512)]
+        for r in (*grids, 0.0, PI, 1.25):
+            got = (p.f(r), p.df(r), p.d2f(r))
+            for value, want in zip(got, reference(r)):
+                value = np.asarray(value)
+                assert value.shape == want.shape and value.tobytes() == want.tobytes()
+
 
 class TestComparison:
     def test_sphere_equality_case(self):
